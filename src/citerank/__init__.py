@@ -7,16 +7,13 @@ or impact-weighted support index and export tables.
 """
 
 from .aggregate import (
-    AggregateStore,
     Diagnostics,
+    Store,
     Window,
     build_store,
     count_statement_excess,
     dump_store,
     load_store,
-    merge_stores,
-    save_store,
-    shard_of,
     store_records,
 )
 from .errors import CiterankError, ConfigError, DataError, ParseError
@@ -61,7 +58,6 @@ from .rank import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateStore",
     "AffiliationRecord",
     "CiterankError",
     "ConfigError",
@@ -84,6 +80,7 @@ __all__ = [
     "SiConfig",
     "SkipReport",
     "StatementRecord",
+    "Store",
     "Window",
     "build_link_tables",
     "build_store",
@@ -96,7 +93,6 @@ __all__ = [
     "hs_index",
     "implied_references",
     "load_store",
-    "merge_stores",
     "parse_affiliation",
     "parse_publication",
     "parse_reference",
@@ -105,8 +101,6 @@ __all__ = [
     "rank_entities",
     "resolve",
     "round_display",
-    "save_store",
-    "shard_of",
     "si",
     "store_records",
     "stream",

@@ -5,20 +5,13 @@ made by 2024 works, whatever the age of the cited work.  Statements count
 once per occurrence; reference events count once per distinct
 (citing_id, cited_id) pair inside the window, so reloading the same
 reference file twice does not double anyone's volume.
-
-Aggregation can be sharded: route each record by a stable hash of its
-citation pair, build one store per shard, then merge.  Because a pair never
-splits across shards, duplicate suppression stays exact, and because tally
-merging is commutative and associative the result is independent of both
-input order and shard count.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
-from dataclasses import dataclass, fields
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass, field, fields
+from typing import Collection, Iterable, Iterator
 
 from .errors import ConfigError, DataError
 from .ingest import ReferenceEvent, StatementRecord
@@ -28,14 +21,11 @@ from .metrics import EntityTally
 __all__ = [
     "Window",
     "Diagnostics",
-    "AggregateStore",
+    "Store",
     "build_store",
-    "merge_stores",
-    "shard_of",
     "count_statement_excess",
     "store_records",
     "dump_store",
-    "save_store",
     "load_store",
 ]
 
@@ -79,16 +69,6 @@ class Diagnostics:
     events_unresolved: int = 0
     events_duplicate: int = 0
 
-    def merge(self, other: "Diagnostics") -> "Diagnostics":
-        merged = Diagnostics()
-        for spec in fields(Diagnostics):
-            setattr(
-                merged,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-        return merged
-
     def as_dict(self) -> dict:
         out = {spec.name: getattr(self, spec.name) for spec in fields(Diagnostics)}
         out["out_of_window"] = self.statements_out_of_window + self.events_out_of_window
@@ -96,155 +76,20 @@ class Diagnostics:
         return out
 
 
-class AggregateStore:
-    """Per-entity tallies for one entity kind over one citing-year window.
+@dataclass(slots=True)
+class Store:
+    """Per-entity tallies for one entity kind, plus the diagnostics of the
+    fold that produced them.
 
-    A store is either live (built in this process, able to accumulate and
-    merge) or loaded from a file (tallies and diagnostics only, for ranking
-    and reporting).  Loaded stores cannot accumulate or merge because the
-    duplicate-suppression state is deliberately not serialized.
+    A plain value: ``build_store`` folds input streams into one and
+    ``load_store`` reads one back from its serialized form.  Per-field
+    stores are recognised by their keys, which carry a field label.
+    ``kind`` is None only for a loaded store with no entity rows.
     """
 
-    def __init__(
-        self,
-        window: Window | None,
-        kind: str | None,
-        tables: LinkTables | None = None,
-        by_field: bool = False,
-    ):
-        if kind is not None and kind not in ENTITY_KINDS:
-            raise ConfigError(f"kind must be one of {ENTITY_KINDS}, got {kind!r}")
-        self.window = window
-        self.kind = kind
-        self.tables = tables
-        self.by_field = by_field
-        self.tallies: dict[EntityKey, EntityTally] = {}
-        self.diagnostics = Diagnostics()
-        self._seen_pairs: set[tuple[str, str]] | None = set()
-
-    # -- accumulation ------------------------------------------------------
-
-    def _require_live(self) -> None:
-        if self.window is None or self.tables is None or self._seen_pairs is None:
-            raise ConfigError(
-                "store cannot accumulate: it was loaded from a file or built "
-                "without link tables"
-            )
-
-    def _keys_for(self, cited_id: str) -> set[EntityKey]:
-        assert self.tables is not None and self.kind is not None
-        keys = resolve(cited_id, self.kind, self.tables)
-        if not self.by_field or not keys:
-            return keys
-        label = self.tables.pub_to_field.get(cited_id)
-        if label is None:
-            # per-field grouping needs a field; treat the row as unresolvable
-            return set()
-        return {EntityKey(key.kind, key.id, label) for key in keys}
-
-    def _tally(self, key: EntityKey) -> EntityTally:
-        tally = self.tallies.get(key)
-        if tally is None:
-            tally = EntityTally()
-            self.tallies[key] = tally
-        return tally
-
-    def add_statement(self, rec: StatementRecord) -> None:
-        """Count one classified statement toward every resolved entity."""
-        self._require_live()
-        diag = self.diagnostics
-        diag.statements_seen += 1
-        if not self.window.contains(rec.citing_year):
-            diag.statements_out_of_window += 1
-            return
-        keys = self._keys_for(rec.cited_id)
-        if not keys:
-            diag.statements_unresolved += 1
-            return
-        diag.statements_counted += 1
-        for key in keys:
-            tally = self._tally(key)
-            if rec.stance == "supporting":
-                tally.supporting += 1
-            elif rec.stance == "mentioning":
-                tally.mentioning += 1
-            elif rec.stance == "contrasting":
-                tally.contrasting += 1
-            else:
-                raise ValueError(f"unknown stance {rec.stance!r}")
-
-    def add_reference(self, event: ReferenceEvent) -> None:
-        """Count one reference event, suppressing repeats of the same pair."""
-        self._require_live()
-        diag = self.diagnostics
-        diag.events_seen += 1
-        if not self.window.contains(event.citing_year):
-            diag.events_out_of_window += 1
-            return
-        keys = self._keys_for(event.cited_id)
-        if not keys:
-            diag.events_unresolved += 1
-            return
-        pair = (event.citing_id, event.cited_id)
-        if pair in self._seen_pairs:
-            diag.events_duplicate += 1
-            return
-        self._seen_pairs.add(pair)
-        diag.events_counted += 1
-        for key in keys:
-            self._tally(key).references += 1
-
-    # -- combination -------------------------------------------------------
-
-    def merge(self, other: "AggregateStore") -> "AggregateStore":
-        """Combine two partial stores built with identical configuration.
-
-        Safe only when no citation pair is split across the two stores,
-        which the shard router guarantees; tallies and diagnostics add,
-        seen-pair sets union.
-        """
-        if self._seen_pairs is None or other._seen_pairs is None:
-            raise ConfigError(
-                "stores loaded from files cannot be merged: duplicate "
-                "suppression state is not serialized"
-            )
-        if (self.window, self.kind, self.by_field) != (
-            other.window,
-            other.kind,
-            other.by_field,
-        ):
-            raise ConfigError(
-                "cannot merge stores built with different window, kind, or grouping"
-            )
-        if self.tables is not other.tables:
-            raise ConfigError("cannot merge stores built over different link tables")
-        merged = AggregateStore(
-            self.window, self.kind, tables=self.tables, by_field=self.by_field
-        )
-        merged.tallies = {key: tally.merge(EntityTally()) for key, tally in self.tallies.items()}
-        for key, tally in other.tallies.items():
-            mine = merged.tallies.get(key)
-            merged.tallies[key] = tally.merge(EntityTally()) if mine is None else mine.merge(tally)
-        merged.diagnostics = self.diagnostics.merge(other.diagnostics)
-        merged._seen_pairs = self._seen_pairs | other._seen_pairs
-        return merged
-
-
-def merge_stores(a: AggregateStore, b: AggregateStore) -> AggregateStore:
-    """Functional alias for AggregateStore.merge."""
-    return a.merge(b)
-
-
-def shard_of(citing_id: str, cited_id: str, shards: int) -> int:
-    """Stable shard index for a citation pair.
-
-    crc32 rather than hash() so routing does not change across processes or
-    interpreter versions; the same pair always lands in the same shard.
-    """
-    if shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {shards}")
-    digest = zlib.crc32(cited_id.encode("utf-8"), zlib.crc32(citing_id.encode("utf-8")))
-    return digest % shards
+    kind: str | None
+    tallies: dict[EntityKey, EntityTally] = field(default_factory=dict)
+    diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
 def build_store(
@@ -254,31 +99,79 @@ def build_store(
     window: Window,
     kind: str,
     by_field: bool = False,
-    shards: int = 1,
-) -> AggregateStore:
-    """Fold both streams into one store, optionally via hash-routed shards.
+) -> Store:
+    """Fold both streams into one store.
 
-    The result is identical for any shard count and any input order; shards
-    exist so large runs can bound per-worker state and to make that claim
-    testable.
+    With ``by_field`` every key also carries the cited publication's field
+    label, and a cited publication without one is unresolved.  The result
+    does not depend on the order of either stream.
     """
-    if shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {shards}")
-    stores = [
-        AggregateStore(window, kind, tables=tables, by_field=by_field)
-        for _ in range(shards)
-    ]
+    if kind not in ENTITY_KINDS:
+        raise ConfigError(f"kind must be one of {ENTITY_KINDS}, got {kind!r}")
+    store = Store(kind)
+    tallies = store.tallies
+    diag = store.diagnostics
+
+    def keys_for(cited_id: str) -> Collection[EntityKey]:
+        keys = resolve(cited_id, kind, tables)
+        if not by_field or not keys:
+            return keys
+        label = tables.pub_to_field.get(cited_id)
+        if label is None:
+            return ()
+        return [EntityKey(key.kind, key.id, label) for key in keys]
+
+    def tally_of(key: EntityKey) -> EntityTally:
+        tally = tallies.get(key)
+        if tally is None:
+            tally = tallies[key] = EntityTally()
+        return tally
+
     for rec in statements:
-        stores[shard_of(rec.citing_id, rec.cited_id, shards)].add_statement(rec)
+        diag.statements_seen += 1
+        if not window.contains(rec.citing_year):
+            diag.statements_out_of_window += 1
+            continue
+        keys = keys_for(rec.cited_id)
+        if not keys:
+            diag.statements_unresolved += 1
+            continue
+        diag.statements_counted += 1
+        for key in keys:
+            tally = tally_of(key)
+            if rec.stance == "supporting":
+                tally.supporting += 1
+            elif rec.stance == "mentioning":
+                tally.mentioning += 1
+            elif rec.stance == "contrasting":
+                tally.contrasting += 1
+            else:
+                raise ValueError(f"unknown stance {rec.stance!r}")
+
+    # a pair counts once however often it recurs; pairs outside the window
+    # or unresolvable never enter the set
+    seen_pairs: set[tuple[str, str]] = set()
     for event in references:
-        stores[shard_of(event.citing_id, event.cited_id, shards)].add_reference(event)
-    merged = stores[0]
-    for store in stores[1:]:
-        merged = merged.merge(store)
-    return merged
+        diag.events_seen += 1
+        if not window.contains(event.citing_year):
+            diag.events_out_of_window += 1
+            continue
+        keys = keys_for(event.cited_id)
+        if not keys:
+            diag.events_unresolved += 1
+            continue
+        pair = (event.citing_id, event.cited_id)
+        if pair in seen_pairs:
+            diag.events_duplicate += 1
+            continue
+        seen_pairs.add(pair)
+        diag.events_counted += 1
+        for key in keys:
+            tally_of(key).references += 1
+    return store
 
 
-def count_statement_excess(store: AggregateStore) -> int:
+def count_statement_excess(store: Store) -> int:
     """Entities whose statement total exceeds their reference count.
 
     A handful is normal (duplicate suppression and unresolved rows cut the
@@ -297,7 +190,7 @@ def count_statement_excess(store: AggregateStore) -> int:
 # lean on.
 
 
-def store_records(store: AggregateStore) -> Iterator[dict]:
+def store_records(store: Store) -> Iterator[dict]:
     def sort_key(item: tuple[EntityKey, EntityTally]):
         key, _ = item
         return (key.kind, key.id, key.field or "")
@@ -316,7 +209,7 @@ def store_records(store: AggregateStore) -> Iterator[dict]:
     yield {"kind": DIAGNOSTICS_KIND, **store.diagnostics.as_dict()}
 
 
-def dump_store(store: AggregateStore) -> str:
+def dump_store(store: Store) -> str:
     lines = [
         json.dumps(row, separators=(",", ":"), ensure_ascii=False)
         for row in store_records(store)
@@ -324,19 +217,12 @@ def dump_store(store: AggregateStore) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_store(store: AggregateStore, out: IO[str]) -> None:
-    out.write(dump_store(store))
-
-
-def load_store(source: IO[str], path: str = "<store>") -> AggregateStore:
+def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     """Read a serialized store back for ranking and reporting.
 
-    The loaded store knows its kind (recovered from the rows) but not its
-    window or link tables, so it can be ranked and exported but not fed new
-    records or merged.  Defects raise DataError.
+    The kind is recovered from the rows.  Defects raise DataError.
     """
-    store = AggregateStore(window=None, kind=None)
-    store._seen_pairs = None
+    store = Store(kind=None)
     saw_diagnostics = False
     for line_no, line in enumerate(source, start=1):
         if not line.strip():
@@ -361,7 +247,7 @@ def load_store(source: IO[str], path: str = "<store>") -> AggregateStore:
     return store
 
 
-def _load_entity_row(row: dict, store: AggregateStore, path: str, line_no: int) -> None:
+def _load_entity_row(row: dict, store: Store, path: str, line_no: int) -> None:
     kind = row.get("kind")
     if kind not in ENTITY_KINDS:
         raise DataError(f"{path}:{line_no}: unknown entity kind {kind!r}")
@@ -374,11 +260,9 @@ def _load_entity_row(row: dict, store: AggregateStore, path: str, line_no: int) 
     entity_id = row.get("id")
     if not isinstance(entity_id, str) or not entity_id:
         raise DataError(f"{path}:{line_no}: 'id' must be a nonempty string")
-    field = row.get("field")
-    if field is not None and (not isinstance(field, str) or not field):
+    label = row.get("field")
+    if label is not None and (not isinstance(label, str) or not label):
         raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
-    if field is not None:
-        store.by_field = True
     counters = {}
     for name in ("supporting", "mentioning", "contrasting", "references"):
         value = row.get(name)
@@ -387,7 +271,7 @@ def _load_entity_row(row: dict, store: AggregateStore, path: str, line_no: int) 
                 f"{path}:{line_no}: {name!r} must be a nonnegative integer, got {value!r}"
             )
         counters[name] = value
-    key = EntityKey(kind, entity_id, field)
+    key = EntityKey(kind, entity_id, label)
     if key in store.tallies:
         raise DataError(f"{path}:{line_no}: duplicate entity {kind}/{entity_id}")
     store.tallies[key] = EntityTally(**counters)

@@ -19,10 +19,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from .aggregate import (
+    Store,
     Window,
     build_store,
     count_statement_excess,
@@ -132,10 +134,6 @@ def _to_choice(*choices: str) -> Callable[[str], str]:
     return convert
 
 
-def _to_path(raw: str) -> str:
-    return raw
-
-
 @dataclass(frozen=True)
 class Opt:
     """One resolvable option: flag, config key, conversion, default."""
@@ -151,10 +149,10 @@ class Opt:
         return self.name.replace("-", "_")
 
 
-OPT_STATEMENTS = Opt("statements", _to_path, help="classified statement stream (NDJSON)")
-OPT_REFERENCES = Opt("references", _to_path, help="reference event stream (NDJSON)")
-OPT_PUBS = Opt("pubs", _to_path, help="publication metadata stream (NDJSON)")
-OPT_AFFILIATIONS = Opt("affiliations", _to_path, help="affiliation stream (NDJSON)")
+OPT_STATEMENTS = Opt("statements", str, help="classified statement stream (NDJSON)")
+OPT_REFERENCES = Opt("references", str, help="reference event stream (NDJSON)")
+OPT_PUBS = Opt("pubs", str, help="publication metadata stream (NDJSON)")
+OPT_AFFILIATIONS = Opt("affiliations", str, help="affiliation stream (NDJSON)")
 OPT_FROM_YEAR = Opt("from-year", _to_int, default=2024, help="window start, citing year")
 OPT_TO_YEAR = Opt("to-year", _to_int, default=2024, help="window end, citing year")
 OPT_ENTITY = Opt(
@@ -180,13 +178,12 @@ OPT_MIN_REFERENCES = Opt(
 )
 OPT_TOP = Opt("top", _to_pos, help="emit only the first k rows")
 OPT_FORMAT = Opt("format", _to_choice(*FORMATS), default="md", help="output format")
-OPT_OUT = Opt("out", _to_path, help="output file (default stdout)")
+OPT_OUT = Opt("out", str, help="output file (default stdout)")
 OPT_MODE = Opt(
     "mode", _to_choice("strict", "lenient"), default="strict", help="parse mode"
 )
-OPT_SHARDS = Opt("shards", _to_pos, default=1, help="number of aggregation shards")
 OPT_SCORES = Opt(
-    "scores", _to_path, help="external per-entity score file (NDJSON id/value)"
+    "scores", str, help="external per-entity score file (NDJSON id/value)"
 )
 
 COMMAND_OPTS: dict[str, list[Opt]] = {
@@ -200,7 +197,6 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
         OPT_ENTITY,
         OPT_GROUP_BY_FIELD,
         OPT_MODE,
-        OPT_SHARDS,
         OPT_OUT,
     ],
     "rank": [
@@ -284,15 +280,25 @@ def _diag(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False), file=sys.stderr)
 
 
-def _load_store_file(path: str):
+@contextmanager
+def _open_utf8(path: str) -> Iterator[IO[str]]:
+    """Open a store or scores file; bytes that are not UTF-8 are a data error."""
     with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+
+
+def _load_store_file(path: str) -> Store:
+    with _open_utf8(path) as handle:
         return load_store(handle, path=path)
 
 
 def _read_scores(path: str) -> dict[str, float]:
     """External per-entity scores: one {"id", "value"} object per line."""
     scores: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
+    with _open_utf8(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
                 obj = json.loads(line)
@@ -312,7 +318,17 @@ def _read_scores(path: str) -> dict[str, float]:
                 raise ParseError(
                     "key 'value' must be a number", path=path, line_no=line_no
                 )
-            scores[entity_id] = float(value)
+            # json.loads reads NaN and Infinity, turns 1e999 into inf, and
+            # keeps integers too large for a float
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+            if not math.isfinite(number):
+                raise ParseError(
+                    "key 'value' must be a finite number", path=path, line_no=line_no
+                )
+            scores[entity_id] = number
     return scores
 
 
@@ -345,7 +361,6 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         window,
         str(resolved["entity"]),
         by_field=bool(resolved["group-by-field"]),
-        shards=int(resolved["shards"]),
     )
     _write_out(resolved["out"], dump_store(store))
 

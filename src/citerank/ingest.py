@@ -270,15 +270,21 @@ def stream(
     Every line becomes exactly one of: a yielded record, a raised ParseError
     (strict), or a counted skip (lenient).  Strict mode stops at the first
     bad line and names the file and line number; lenient mode keeps going
-    and tallies defects into ``report`` if one is given.
+    and tallies defects into ``report`` if one is given.  A line that is not
+    valid UTF-8 is a bad line like any other: the file is read as bytes and
+    decoded one line at a time, so one bad byte costs one line, not the run.
 
     An unreadable path raises OSError from open(), untouched.
     """
     if mode not in ("strict", "lenient"):
         raise ConfigError(f"mode must be 'strict' or 'lenient', got {mode!r}")
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
             try:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"invalid UTF-8: {exc.reason}") from exc
                 yield parser(line)
             except ParseError as exc:
                 if mode == "strict":

@@ -64,12 +64,7 @@ DEFAULT_SI_CONFIG = SiConfig()
 
 @dataclass(slots=True)
 class EntityTally:
-    """Stance and reference counters for one entity.
-
-    Tallies form a merge monoid: ``merge`` adds field-wise, is commutative
-    and associative, and a fresh ``EntityTally()`` is the identity.  That is
-    what lets aggregation run in independent shards and combine at the end.
-    """
+    """Stance and reference counters for one entity."""
 
     supporting: int = 0
     mentioning: int = 0
@@ -80,15 +75,6 @@ class EntityTally:
         for name in ("supporting", "mentioning", "contrasting", "references"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    def merge(self, other: "EntityTally") -> "EntityTally":
-        """Return a new tally with both sets of counters added."""
-        return EntityTally(
-            self.supporting + other.supporting,
-            self.mentioning + other.mentioning,
-            self.contrasting + other.contrasting,
-            self.references + other.references,
-        )
 
     @property
     def valenced(self) -> int:
@@ -173,13 +159,17 @@ def pearson(pairs: Sequence[tuple[float, float]]) -> float:
     """Sample Pearson correlation of (x, y) pairs, clamped to [-1, 1].
 
     Two-pass formula: means first, then centered products.  Raises DataError
-    for fewer than two pairs or when either coordinate has zero variance,
-    because r is undefined there and a silent nan would poison reports.
+    for fewer than two pairs, for a coordinate that is nan or infinite, or
+    when either coordinate has zero variance, because r is undefined there
+    and a silent nan would poison reports (the clamp would turn it into 1).
     """
     points = list(pairs)
     n = len(points)
     if n < 2:
         raise DataError(f"correlation needs at least 2 pairs, got {n}")
+    for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"correlation undefined: non-finite pair ({x!r}, {y!r})")
     mean_x = sum(x for x, _ in points) / n
     mean_y = sum(y for _, y in points) / n
     sxx = syy = sxy = 0.0

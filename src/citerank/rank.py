@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping
 
-from .aggregate import AggregateStore
+from .aggregate import Store
 from .errors import ConfigError
 from .linking import EntityKey
 from .metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
@@ -119,7 +119,7 @@ def round_display(value: float | None) -> str:
 
 
 def rank_entities(
-    store: AggregateStore, spec: RankSpec
+    store: Store, spec: RankSpec
 ) -> tuple[list[RankedRow], ExclusionReport]:
     """Rank the store's entities by the chosen metric, descending.
 
@@ -185,23 +185,22 @@ class FieldBreakdownRow:
 
 
 def field_breakdown(
-    store: AggregateStore, si_config: SiConfig = DEFAULT_SI_CONFIG
+    store: Store, si_config: SiConfig = DEFAULT_SI_CONFIG
 ) -> list[FieldBreakdownRow]:
     """Per-field score rows from a store built with per-field grouping.
 
-    Rows without a defined score (no valenced statements, or zero usi or
-    references) are dropped: the breakdown is plot-ready data, and those
-    cells would have no position on a score axis.  Sorted by field label,
-    then score descending, then entity id.
+    Every row of the store must carry a field label; an empty store gives
+    no rows.  Rows without a defined score (no valenced statements, or zero
+    usi or references) are dropped: the breakdown is plot-ready data, and
+    those cells would have no position on a score axis.  Sorted by field
+    label, then score descending, then entity id.
     """
-    if not store.by_field:
+    if any(key.field is None for key in store.tallies):
         raise ConfigError(
             "store lacks per-field grouping; rebuild aggregation with it enabled"
         )
     rows: list[FieldBreakdownRow] = []
     for key, tally in store.tallies.items():
-        if key.field is None:
-            continue
         usi_value = usi(tally.supporting, tally.contrasting)
         if usi_value is None:
             continue

@@ -14,7 +14,7 @@ CRITERION_TITLES = {
     2: "log-base discrimination against published scores",
     3: "published ranking-order reproduction",
     4: "aggregation equals naive tally oracle (3 entity kinds)",
-    5: "shard-count and input-order independence (byte-identical)",
+    5: "input-order independence (byte-identical)",
     6: "citing-year window semantics with exact complement",
     7: "metric scaling, monotonicity, bounds, inversion",
     8: "supporting h-index vs brute force (exhaustive <=12/<=12)",

@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from citerank.aggregate import AggregateStore, Window, build_store, dump_store
+from citerank.aggregate import Store, Window, build_store, dump_store
 from citerank.cli import main
 from citerank.ingest import (
     AffiliationRecord,
@@ -58,13 +58,13 @@ def usi_exact(row) -> float:
     return row.supporting / (row.supporting + row.contrasting)
 
 
-def snapshot_store(table, config: SiConfig = DEFAULT_SI_CONFIG) -> AggregateStore:
+def snapshot_store(table, config: SiConfig = DEFAULT_SI_CONFIG) -> Store:
     """Store seeded with published counts.
 
     Reference counts were never published, so they are reconstructed by
     inverting the displayed (two-decimal) score at the exact support ratio.
     """
-    store = AggregateStore(WINDOW, table.kind)
+    store = Store(table.kind)
     for row in table.rows:
         references = round(implied_references(row.si, usi_exact(row), config))
         store.tallies[EntityKey(table.kind, row.name)] = EntityTally(
@@ -264,29 +264,22 @@ def test_criterion_4_aggregation_matches_naive_oracle(corpus):
     assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_5_shard_and_order_independence(corpus):
+def test_criterion_5_input_order_independence(corpus):
     pubs, affils, statements, references = corpus
     tables = build_link_tables(pubs, affils)
     rng = random.Random(417)
-    reference_bytes = None
-    for _ in range(5):
+    reference_bytes = dump_store(
+        build_store(statements, references, tables, WINDOW, "institution")
+    )
+    for shuffle in range(5):
         shuffled_statements = statements[:]
         shuffled_events = references[:]
         rng.shuffle(shuffled_statements)
         rng.shuffle(shuffled_events)
-        for shards in (1, 2, 4, 8):
-            store = build_store(
-                shuffled_statements,
-                shuffled_events,
-                tables,
-                WINDOW,
-                "institution",
-                shards=shards,
-            )
-            text = dump_store(store)
-            if reference_bytes is None:
-                reference_bytes = text
-            assert text == reference_bytes, f"shards={shards}"
+        store = build_store(
+            shuffled_statements, shuffled_events, tables, WINDOW, "institution"
+        )
+        assert dump_store(store) == reference_bytes, f"shuffle {shuffle}"
 
 
 # -- criterion 6: the window restricts citing years only -------------------
@@ -431,14 +424,16 @@ def test_criterion_9_pearson_matches_reference():
         assert pearson(list(zip(xs, ys))) == pytest.approx(expected, abs=1e-9)
 
     # exact self-correlation through the public correlate path
-    store = AggregateStore(WINDOW, "journal")
     rng2 = random.Random(99)
-    store.tallies = {
-        EntityKey("journal", f"J{i}"): EntityTally(
-            rng2.randint(1, 500), 0, rng2.randint(1, 50), rng2.randint(1, 10**6)
-        )
-        for i in range(60)
-    }
+    store = Store(
+        "journal",
+        {
+            EntityKey("journal", f"J{i}"): EntityTally(
+                rng2.randint(1, 500), 0, rng2.randint(1, 50), rng2.randint(1, 10**6)
+            )
+            for i in range(60)
+        },
+    )
     rows, _ = rank_entities(store, RankSpec(metric="usi"))
     external = {row.entity.id: row.usi_exact for row in rows}
     result = correlate(rows, external, metric="usi")
@@ -519,7 +514,7 @@ def test_criterion_10_exit_codes(tmp_path, capsys):
 
 def test_criterion_11_throughput_smoke(tmp_path):
     """Soft bound: one million statement lines through lenient streaming
-    ingest and aggregation with default shards."""
+    ingest and aggregation."""
     path = tmp_path / "big_statements.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(1_000_000):

@@ -1,29 +1,34 @@
 import io
-import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from citerank.aggregate import (
-    AggregateStore,
+    Store,
     Window,
     build_store,
     count_statement_excess,
     dump_store,
     load_store,
-    merge_stores,
-    shard_of,
 )
 from citerank.errors import ConfigError, DataError
 from citerank.ingest import (
+    STANCE_CLASSES,
     AffiliationRecord,
     PublicationRecord,
     ReferenceEvent,
     StatementRecord,
 )
-from citerank.linking import EntityKey, build_link_tables
+from citerank.linking import ENTITY_KINDS, EntityKey, build_link_tables
 from citerank.metrics import EntityTally
 
 WINDOW = Window(2024, 2024)
+
+citing_ids = st.sampled_from(["C1", "C2", "C3"])
+cited_ids = st.sampled_from(["W1", "W2", "W3", "W404"])
+years = st.sampled_from([2023, 2024])
+stances = st.sampled_from(STANCE_CLASSES)
 
 
 def make_tables():
@@ -63,49 +68,47 @@ class TestWindow:
             Window(2025, 2024)
 
 
-class TestAddStatement:
+def fold(statements=(), events=(), kind="journal", window=WINDOW, by_field=False):
+    return build_store(statements, events, make_tables(), window, kind, by_field=by_field)
+
+
+class TestStatements:
     def test_counts_by_stance(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_statement(statement(stance="supporting"))
-        store.add_statement(statement(stance="mentioning"))
-        store.add_statement(statement(stance="mentioning"))
-        store.add_statement(statement(stance="contrasting"))
+        store = fold(
+            [
+                statement(stance="supporting"),
+                statement(stance="mentioning"),
+                statement(stance="mentioning"),
+                statement(stance="contrasting"),
+            ]
+        )
         tally = store.tallies[EntityKey("journal", "J1")]
         assert (tally.supporting, tally.mentioning, tally.contrasting) == (1, 2, 1)
 
     def test_each_occurrence_counts(self):
         # statements are not deduplicated; only reference events are
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        for _ in range(3):
-            store.add_statement(statement())
+        store = fold([statement()] * 3)
         assert store.tallies[EntityKey("journal", "J1")].supporting == 3
 
     def test_window_filters_citing_year_only(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_statement(statement(year=2023))
-        store.add_statement(statement(year=2025))
+        store = fold([statement(year=2023), statement(year=2025)])
         assert store.tallies == {}
         assert store.diagnostics.statements_out_of_window == 2
 
     def test_unresolved(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_statement(statement(cited="W404"))
+        store = fold([statement(cited="W404")])
         assert store.diagnostics.statements_unresolved == 1
         assert store.tallies == {}
 
     def test_full_counting_across_institutions(self):
-        store = AggregateStore(WINDOW, "institution", make_tables())
-        store.add_statement(statement(cited="W1"))
+        store = fold([statement(cited="W1")], kind="institution")
         assert store.tallies[EntityKey("institution", "I1")].supporting == 1
         assert store.tallies[EntityKey("institution", "I2")].supporting == 1
         # one statement, counted once, credited twice
         assert store.diagnostics.statements_counted == 1
 
     def test_statement_partition(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_statement(statement())
-        store.add_statement(statement(year=1999))
-        store.add_statement(statement(cited="W404"))
+        store = fold([statement(), statement(year=1999), statement(cited="W404")])
         diag = store.diagnostics
         assert diag.statements_seen == 3
         assert (
@@ -116,41 +119,30 @@ class TestAddStatement:
         )
 
 
-class TestAddReference:
+class TestReferences:
     def test_duplicate_pair_suppressed(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_reference(event())
-        store.add_reference(event())
+        store = fold(events=[event(), event()])
         assert store.tallies[EntityKey("journal", "J1")].references == 1
         assert store.diagnostics.events_duplicate == 1
 
     def test_pair_dedup_spans_years_inside_window(self):
-        store = AggregateStore(Window(2023, 2024), "journal", make_tables())
-        store.add_reference(event(year=2023))
-        store.add_reference(event(year=2024))
+        store = fold(events=[event(year=2023), event(year=2024)], window=Window(2023, 2024))
         assert store.tallies[EntityKey("journal", "J1")].references == 1
 
     def test_out_of_window_event_does_not_poison_dedup(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_reference(event(year=2023))
-        store.add_reference(event(year=2024))
+        store = fold(events=[event(year=2023), event(year=2024)])
         assert store.tallies[EntityKey("journal", "J1")].references == 1
         assert store.diagnostics.events_out_of_window == 1
         assert store.diagnostics.events_duplicate == 0
 
     def test_distinct_pairs_count(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_reference(event(citing="C1"))
-        store.add_reference(event(citing="C2"))
-        store.add_reference(event(citing="C1", cited="W2"))
+        store = fold(
+            events=[event(citing="C1"), event(citing="C2"), event(citing="C1", cited="W2")]
+        )
         assert store.tallies[EntityKey("journal", "J1")].references == 3
 
     def test_event_partition(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.add_reference(event())
-        store.add_reference(event())
-        store.add_reference(event(year=1999))
-        store.add_reference(event(cited="W404"))
+        store = fold(events=[event(), event(), event(year=1999), event(cited="W404")])
         diag = store.diagnostics
         assert diag.events_seen == 4
         assert (
@@ -164,115 +156,23 @@ class TestAddReference:
 
 class TestPerFieldGrouping:
     def test_keys_carry_field_label(self):
-        store = AggregateStore(WINDOW, "institution", make_tables(), by_field=True)
-        store.add_statement(statement(cited="W1"))
-        store.add_statement(statement(cited="W2"))
+        store = fold([statement(cited="W1"), statement(cited="W2")], kind="institution", by_field=True)
         assert EntityKey("institution", "I1", "Physics") in store.tallies
         assert EntityKey("institution", "I1", "Maths") in store.tallies
         assert EntityKey("institution", "I2", "Physics") in store.tallies
 
     def test_fieldless_publication_is_unresolved(self):
-        store = AggregateStore(WINDOW, "journal", make_tables(), by_field=True)
-        store.add_statement(statement(cited="W3"))  # W3 has no field
+        store = fold([statement(cited="W3")], by_field=True)  # W3 has no field
         assert store.tallies == {}
         assert store.diagnostics.statements_unresolved == 1
 
 
-class TestMerge:
-    def test_tallies_and_diagnostics_add(self):
-        tables = make_tables()
-        a = AggregateStore(WINDOW, "journal", tables)
-        b = AggregateStore(WINDOW, "journal", tables)
-        a.add_statement(statement(citing="C1"))
-        b.add_statement(statement(citing="C2", stance="contrasting"))
-        b.add_statement(statement(citing="C2", cited="W3"))
-        merged = merge_stores(a, b)
-        tally = merged.tallies[EntityKey("journal", "J1")]
-        assert (tally.supporting, tally.contrasting) == (1, 1)
-        assert merged.tallies[EntityKey("journal", "J2")].supporting == 1
-        assert merged.diagnostics.statements_seen == 3
-
-    def test_merge_leaves_inputs_alone(self):
-        tables = make_tables()
-        a = AggregateStore(WINDOW, "journal", tables)
-        b = AggregateStore(WINDOW, "journal", tables)
-        a.add_statement(statement())
-        b.add_statement(statement())
-        merge_stores(a, b)
-        assert a.tallies[EntityKey("journal", "J1")].supporting == 1
-        assert b.tallies[EntityKey("journal", "J1")].supporting == 1
-
-    def test_identity(self):
-        tables = make_tables()
-        a = AggregateStore(WINDOW, "journal", tables)
-        a.add_statement(statement())
-        empty = AggregateStore(WINDOW, "journal", tables)
-        merged = merge_stores(a, empty)
-        assert merged.tallies == a.tallies
-        assert merged.diagnostics == a.diagnostics
-
-    def test_config_mismatch_rejected(self):
-        tables = make_tables()
-        a = AggregateStore(WINDOW, "journal", tables)
-        with pytest.raises(ConfigError):
-            merge_stores(a, AggregateStore(Window(2023, 2024), "journal", tables))
-        with pytest.raises(ConfigError):
-            merge_stores(a, AggregateStore(WINDOW, "field", tables))
-        with pytest.raises(ConfigError):
-            merge_stores(a, AggregateStore(WINDOW, "journal", tables, by_field=True))
-        with pytest.raises(ConfigError):
-            merge_stores(a, AggregateStore(WINDOW, "journal", make_tables()))
-
-
-class TestSharding:
-    def test_shard_of_is_stable_and_bounded(self):
-        for shards in (1, 2, 7, 64):
-            index = shard_of("C1", "W1", shards)
-            assert 0 <= index < shards
-            assert index == shard_of("C1", "W1", shards)
-
-    def test_shard_of_rejects_bad_count(self):
-        with pytest.raises(ConfigError):
-            shard_of("C1", "W1", 0)
-
-    def test_shard_count_does_not_change_result(self):
-        tables = make_tables()
-        rng = random.Random(7)
-        statements = [
-            statement(
-                citing=f"C{rng.randrange(40)}",
-                cited=rng.choice(["W1", "W2", "W3", "W404"]),
-                year=rng.choice([2023, 2024]),
-                stance=rng.choice(["supporting", "mentioning", "contrasting"]),
-            )
-            for _ in range(300)
-        ]
-        events = [
-            event(
-                citing=f"C{rng.randrange(20)}",
-                cited=rng.choice(["W1", "W2", "W3"]),
-                year=rng.choice([2023, 2024]),
-            )
-            for _ in range(300)
-        ]
-        baseline = build_store(statements, events, tables, WINDOW, "journal")
-        for shards in (2, 4, 8):
-            sharded = build_store(
-                statements, events, tables, WINDOW, "journal", shards=shards
-            )
-            assert sharded.tallies == baseline.tallies
-            assert sharded.diagnostics == baseline.diagnostics
-
-
 class TestSerialization:
     def build(self):
-        tables = make_tables()
-        store = AggregateStore(WINDOW, "journal", tables)
-        store.add_statement(statement(cited="W2"))
-        store.add_statement(statement(cited="W3", stance="contrasting"))
-        store.add_reference(event())
-        store.add_reference(event(cited="W3"))
-        return store
+        return fold(
+            [statement(cited="W2"), statement(cited="W3", stance="contrasting")],
+            [event(), event(cited="W3")],
+        )
 
     def test_round_trip_is_bit_exact(self):
         text = dump_store(self.build())
@@ -286,21 +186,23 @@ class TestSerialization:
         assert '"kind":"diagnostics"' in lines[2]
         assert len(lines) == 3
 
-    def test_loaded_store_ranks_but_cannot_accumulate(self):
-        reloaded = load_store(io.StringIO(dump_store(self.build())))
-        assert reloaded.kind == "journal"
-        with pytest.raises(ConfigError):
-            reloaded.add_statement(statement())
-        with pytest.raises(ConfigError):
-            merge_stores(reloaded, reloaded)
+    @settings(deadline=None)
+    @given(
+        st.lists(st.builds(statement, citing=citing_ids, cited=cited_ids, year=years, stance=stances)),
+        st.lists(st.builds(event, citing=citing_ids, cited=cited_ids, year=years)),
+        st.sampled_from(ENTITY_KINDS),
+        st.booleans(),
+    )
+    def test_load_inverts_dump(self, statements, events, kind, by_field):
+        store = fold(statements, events, kind, by_field=by_field)
+        assume(store.tallies)  # an empty store's file does not say its kind
+        assert load_store(io.StringIO(dump_store(store))) == store
 
     def test_by_field_round_trip(self):
-        tables = make_tables()
-        store = AggregateStore(WINDOW, "institution", tables, by_field=True)
-        store.add_statement(statement())
+        store = fold([statement()], kind="institution", by_field=True)
         text = dump_store(store)
         reloaded = load_store(io.StringIO(text))
-        assert reloaded.by_field
+        assert all(key.field == "Physics" for key in reloaded.tallies)
         assert dump_store(reloaded) == text
 
     @pytest.mark.parametrize(
@@ -345,7 +247,11 @@ class TestSerialization:
 
 class TestConsistency:
     def test_counts_entities_with_statement_excess(self):
-        store = AggregateStore(WINDOW, "journal", make_tables())
-        store.tallies[EntityKey("journal", "J1")] = EntityTally(5, 5, 5, 3)
-        store.tallies[EntityKey("journal", "J2")] = EntityTally(1, 0, 0, 10)
+        store = Store(
+            "journal",
+            {
+                EntityKey("journal", "J1"): EntityTally(5, 5, 5, 3),
+                EntityKey("journal", "J2"): EntityTally(1, 0, 0, 10),
+            },
+        )
         assert count_statement_excess(store) == 1

@@ -7,6 +7,7 @@ import pytest
 from citerank.aggregate import load_store
 from citerank.cli import main
 from citerank.linking import EntityKey
+from citerank.rank import BREAKDOWN_CSV_HEADER
 
 PUBS = [
     '{"id": "W1", "journal_id": "J1", "field": "Physics"}',
@@ -133,12 +134,21 @@ class TestAggregate:
         assert events["consistency"]["status"] == "FAILED"
         assert events["consistency"]["entities_flagged"] == 2
 
-    def test_shards_flag_changes_nothing(self, corpus, tmp_path):
-        one = tmp_path / "one.jsonl"
-        eight = tmp_path / "eight.jsonl"
-        assert main(aggregate_args(corpus, "--out", str(one))) == 0
-        assert main(aggregate_args(corpus, "--shards", "8", "--out", str(eight))) == 0
-        assert one.read_text() == eight.read_text()
+    def test_invalid_utf8_line(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad_statements.jsonl"
+        bad.write_bytes(
+            (STATEMENTS[0] + "\n").encode() + b"\xff\n" + (STATEMENTS[1] + "\n").encode()
+        )
+        corpus = dict(corpus, statements=str(bad))
+        assert main(aggregate_args(corpus)) == 2
+        assert f"{bad}:2: invalid UTF-8" in capsys.readouterr().err
+
+        assert main(aggregate_args(corpus, "--mode", "lenient")) == 0
+        events = stderr_events(capsys.readouterr())
+        report = next(e for e in events if e["event"] == "ingest" and e["file"] == str(bad))
+        assert (report["skipped"], report["first_bad_line"]) == (1, 2)
+        aggregate = next(e for e in events if e["event"] == "aggregate")
+        assert aggregate["statements_seen"] == 2
 
 
 class TestRankPipeline:
@@ -223,6 +233,16 @@ class TestFields:
             ("I1", "Maths"),
         }
 
+    def test_empty_grouped_store_gives_header_only(self, corpus, tmp_path, capsys):
+        store_path = tmp_path / "grouped.jsonl"
+        args = aggregate_args(corpus, "--entity", "institution", "--group-by-field")
+        # a window no statement falls in leaves only the diagnostics row
+        args += ["--from-year", "1999", "--to-year", "1999", "--out", str(store_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["fields", str(store_path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [BREAKDOWN_CSV_HEADER]
+
     def test_plain_store_rejected(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "plain.jsonl"
         assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
@@ -246,6 +266,30 @@ class TestCorrelate:
         assert result["r"] == pytest.approx(1.0, abs=1e-12)
         assert result["matched"] == 2
         assert result["unmatched_external"] == 1
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400])
+    def test_non_finite_score_exit_2(self, corpus, tmp_path, capsys, value):
+        store_path = tmp_path / "store.jsonl"
+        assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            '{"id": "J1", "value": 0.5}\n{"id": "J2", "value": %s}\n' % value,
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{scores}:2: key 'value' must be a finite number" in captured.err
+
+    def test_invalid_utf8_scores_exit_2(self, corpus, tmp_path, capsys):
+        store_path = tmp_path / "store.jsonl"
+        assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
+        scores = tmp_path / "scores.jsonl"
+        scores.write_bytes(b'{"id": "J1", "value": 0.5}\n\xff\n')
+        capsys.readouterr()
+        assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
+        assert f"{scores}: not valid UTF-8" in capsys.readouterr().err
 
     def test_degenerate_scores_exit_2(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
@@ -283,6 +327,13 @@ class TestValidate:
         assert report["skipped"] == 1
         assert report["first_bad_line"] == 1
 
+    def test_invalid_utf8_is_a_defect(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(STATEMENTS[0].encode() + b"\n\xff\xfe\n")
+        assert main(["validate", "--statements", str(bad)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["records"], report["skipped"], report["first_bad_line"]) == (1, 1, 2)
+
     def test_nothing_to_validate_is_usage_error(self, capsys):
         assert main(["validate"]) == 1
 
@@ -301,7 +352,7 @@ class TestExitCodes:
         assert "--statements" in capsys.readouterr().err
 
     def test_bad_flag_value(self, corpus, capsys):
-        assert main(aggregate_args(corpus, "--shards", "0")) == 1
+        assert main(aggregate_args(corpus, "--mode", "sloppy")) == 1
         assert main(aggregate_args(corpus, "--from-year", "soon")) == 1
 
     def test_bad_log_base(self, corpus, tmp_path, capsys):
@@ -334,6 +385,16 @@ class TestExitCodes:
         store_path = tmp_path / "store.jsonl"
         store_path.write_text("not a store\n", encoding="utf-8")
         assert main(["rank", str(store_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["rank", "fields", "correlate"])
+    def test_invalid_utf8_store_exit_2(self, tmp_path, capsys, command):
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_bytes(b'{"kind":"\xff"}\n{"kind":"diagnostics"}\n')
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "J1", "value": 0.5}\n', encoding="utf-8")
+        extra = ["--scores", str(scores)] if command == "correlate" else []
+        assert main([command, str(store_path), *extra]) == 2
+        assert f"{store_path}: not valid UTF-8" in capsys.readouterr().err
 
     def test_unwritable_out_exit_3(self, corpus, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "store.jsonl"
@@ -384,7 +445,7 @@ class TestConfigFile:
         store_path = tmp_path / "store.jsonl"
         assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
         config = tmp_path / "citerank.conf"
-        config.write_text("shards = 4\nformat = csv\n# comment\n\n", encoding="utf-8")
+        config.write_text("mode = lenient\nformat = csv\n# comment\n\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["rank", str(store_path), "--config", str(config)]) == 0
         assert capsys.readouterr().out.startswith("kind,")

@@ -191,6 +191,25 @@ class TestStream:
         assert report.skipped == 0
         assert report.first_bad_line is None
 
+    def test_crlf_lines_parse(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes((GOOD + "\r\n").encode() * 3 + (BAD + "\r\n").encode())
+        report = SkipReport()
+        records = list(stream(str(path), parse_statement, "lenient", report))
+        assert records == [StatementRecord("C1", "W1", 2024, "supporting")] * 3
+        assert report.as_record() == {"skipped": 1, "first_bad_line": 4}
+
+    def test_invalid_utf8_line_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(GOOD.encode() + b"\r\n" + b'{"citing_id": "\xff"}\r\n' + GOOD.encode())
+        report = SkipReport()
+        records = list(stream(str(path), parse_statement, "lenient", report))
+        assert len(records) == 2
+        assert report.as_record() == {"skipped": 1, "first_bad_line": 2}
+        with pytest.raises(ParseError) as err:
+            list(stream(str(path), parse_statement, mode="strict"))
+        assert str(err.value).startswith(f"{path}:2: invalid UTF-8")
+
     def test_bad_mode_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
         _write_lines(path, [GOOD])

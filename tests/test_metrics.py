@@ -163,6 +163,14 @@ class TestPearson:
         with pytest.raises(DataError):
             pearson([(1, 5), (2, 5), (3, 5)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # the clamp below would otherwise report nan as r = 1.0
+        with pytest.raises(DataError):
+            pearson([(1.0, 2.0), (2.0, bad), (3.0, 5.0)])
+        with pytest.raises(DataError):
+            pearson([(bad, 2.0), (2.0, 4.0), (3.0, 5.0)])
+
     def test_clamped(self):
         points = [(float(i), float(i) * 3.0 + 1.0) for i in range(100)]
         assert abs(pearson(points)) <= 1.0
@@ -188,20 +196,7 @@ class TestPearson:
         assert moved == pytest.approx(base, abs=1e-7)
 
 
-tallies = st.builds(
-    EntityTally,
-    supporting=st.integers(0, 10**6),
-    mentioning=st.integers(0, 10**6),
-    contrasting=st.integers(0, 10**6),
-    references=st.integers(0, 10**6),
-)
-
-
 class TestEntityTally:
-    def test_merge_adds_counters(self):
-        combined = EntityTally(1, 2, 3, 4).merge(EntityTally(10, 20, 30, 40))
-        assert combined == EntityTally(11, 22, 33, 44)
-
     def test_derived_counts(self):
         tally = EntityTally(5, 9, 2, 20)
         assert tally.valenced == 7
@@ -210,16 +205,3 @@ class TestEntityTally:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             EntityTally(supporting=-1)
-
-    @given(tallies, tallies)
-    def test_merge_commutative(self, a, b):
-        assert a.merge(b) == b.merge(a)
-
-    @given(tallies, tallies, tallies)
-    def test_merge_associative(self, a, b, c):
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    @given(tallies)
-    def test_merge_identity(self, a):
-        assert a.merge(EntityTally()) == a
-        assert EntityTally().merge(a) == a

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from citerank.aggregate import AggregateStore, Window
+from citerank.aggregate import Store
 from citerank.errors import ConfigError, DataError
 from citerank.linking import EntityKey
 from citerank.metrics import EntityTally, SiConfig
@@ -23,10 +23,8 @@ from citerank.rank import (
 )
 
 
-def store_of(tallies: dict[EntityKey, EntityTally], kind="journal", by_field=False):
-    store = AggregateStore(Window(2024, 2024), kind, by_field=by_field)
-    store.tallies = dict(tallies)
-    return store
+def store_of(tallies: dict[EntityKey, EntityTally], kind="journal"):
+    return Store(kind, dict(tallies))
 
 
 def journal_store(rows: dict[str, tuple[int, int, int, int]]):
@@ -203,7 +201,6 @@ class TestFieldBreakdown:
                 EntityKey("institution", "I3", "Maths"): EntityTally(0, 9, 0, 50),
             },
             kind="institution",
-            by_field=True,
         )
 
     def test_rows_grouped_and_sorted(self):
@@ -224,6 +221,18 @@ class TestFieldBreakdown:
     def test_requires_by_field_store(self):
         with pytest.raises(ConfigError):
             field_breakdown(journal_store({"A": (1, 0, 0, 1)}))
+
+    def test_rows_without_field_label_rejected(self):
+        store = self.make_store()
+        store.tallies[EntityKey("institution", "I4")] = EntityTally(1, 0, 0, 1)
+        with pytest.raises(ConfigError):
+            field_breakdown(store)
+
+    def test_empty_store_gives_header_only(self):
+        # an empty per-field store cannot be told from any other empty store
+        rows = field_breakdown(store_of({}, kind="institution"))
+        assert rows == []
+        assert export_breakdown(rows, "csv") == BREAKDOWN_CSV_HEADER + "\n"
 
 
 class TestCorrelate:
@@ -323,7 +332,6 @@ class TestExports:
         store = store_of(
             {EntityKey("institution", "I1", "Physics"): EntityTally(5, 0, 1, 50)},
             kind="institution",
-            by_field=True,
         )
         text = export_breakdown(field_breakdown(store), "csv")
         assert text.splitlines()[0] == BREAKDOWN_CSV_HEADER
