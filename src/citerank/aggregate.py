@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ConfigError, DataError
 from .ingest import ReferenceEvent, StatementRecord
@@ -108,56 +108,43 @@ def build_store(
     """
     if kind not in ENTITY_KINDS:
         raise ConfigError(f"kind must be one of {ENTITY_KINDS}, got {kind!r}")
-    store = Store(kind)
-    tallies = store.tallies
-    diag = store.diagnostics
-
-    def keys_for(cited_id: str) -> Collection[EntityKey]:
-        keys = resolve(cited_id, kind, tables)
-        if not by_field or not keys:
-            return keys
-        label = tables.pub_to_field.get(cited_id)
-        if label is None:
-            return ()
-        return [EntityKey(key.kind, key.id, label) for key in keys]
-
-    def tally_of(key: EntityKey) -> EntityTally:
-        tally = tallies.get(key)
-        if tally is None:
-            tally = tallies[key] = EntityTally()
-        return tally
+    tallies, credited = _credited_tallies(tables, kind, by_field)
+    lo, hi = window.from_year, window.to_year
+    diag = Diagnostics()
 
     for rec in statements:
         diag.statements_seen += 1
-        if not window.contains(rec.citing_year):
+        if not lo <= rec.citing_year <= hi:
             diag.statements_out_of_window += 1
             continue
-        keys = keys_for(rec.cited_id)
-        if not keys:
+        group = credited.get(rec.cited_id)
+        if group is None:
             diag.statements_unresolved += 1
             continue
         diag.statements_counted += 1
-        for key in keys:
-            tally = tally_of(key)
-            if rec.stance == "supporting":
+        stance = rec.stance
+        if stance == "supporting":
+            for tally in group:
                 tally.supporting += 1
-            elif rec.stance == "mentioning":
+        elif stance == "mentioning":
+            for tally in group:
                 tally.mentioning += 1
-            elif rec.stance == "contrasting":
+        elif stance == "contrasting":
+            for tally in group:
                 tally.contrasting += 1
-            else:
-                raise ValueError(f"unknown stance {rec.stance!r}")
+        else:
+            raise ValueError(f"unknown stance {stance!r}")
 
     # a pair counts once however often it recurs; pairs outside the window
     # or unresolvable never enter the set
     seen_pairs: set[tuple[str, str]] = set()
     for event in references:
         diag.events_seen += 1
-        if not window.contains(event.citing_year):
+        if not lo <= event.citing_year <= hi:
             diag.events_out_of_window += 1
             continue
-        keys = keys_for(event.cited_id)
-        if not keys:
+        group = credited.get(event.cited_id)
+        if group is None:
             diag.events_unresolved += 1
             continue
         pair = (event.citing_id, event.cited_id)
@@ -166,9 +153,54 @@ def build_store(
             continue
         seen_pairs.add(pair)
         diag.events_counted += 1
-        for key in keys:
-            tally_of(key).references += 1
-    return store
+        for tally in group:
+            tally.references += 1
+
+    # every linked entity got a tally up front; keep those a record reached
+    reached = {
+        key: tally
+        for key, tally in tallies.items()
+        if tally.supporting or tally.mentioning or tally.contrasting or tally.references
+    }
+    return Store(kind, reached, diag)
+
+
+def _credited_tallies(
+    tables: LinkTables, kind: str, by_field: bool
+) -> tuple[dict[EntityKey, EntityTally], dict[str, tuple[EntityTally, ...]]]:
+    """A zero tally per linked entity, and a map from each resolvable
+    publication id to the tallies a citation of it credits.
+
+    Publications credited to the same set of entities share one tuple, so
+    the map costs one reference per publication.
+    """
+    linked = {
+        "journal": tables.pub_to_journal,
+        "field": tables.pub_to_field,
+        "institution": tables.pub_to_institutions,
+    }[kind]
+    labels = tables.pub_to_field
+    tallies: dict[EntityKey, EntityTally] = {}
+    shared: dict[frozenset[EntityKey], tuple[EntityTally, ...]] = {}
+    credited: dict[str, tuple[EntityTally, ...]] = {}
+    for pub_id in linked:
+        keys = resolve(pub_id, kind, tables)
+        if by_field and keys:
+            label = labels.get(pub_id)
+            if label is None:
+                continue
+            keys = {EntityKey(key.kind, key.id, label) for key in keys}
+        if not keys:
+            continue
+        key_set = frozenset(keys)
+        group = shared.get(key_set)
+        if group is None:
+            for key in key_set:
+                if key not in tallies:
+                    tallies[key] = EntityTally()
+            group = shared[key_set] = tuple(tallies[key] for key in key_set)
+        credited[pub_id] = group
+    return tallies, credited
 
 
 def count_statement_excess(store: Store) -> int:
@@ -235,6 +267,8 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal past the digit limit
+            raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
         if not isinstance(row, dict) or "kind" not in row:
             raise DataError(f"{path}:{line_no}: expected an object with a 'kind' key")
         if row["kind"] == DIAGNOSTICS_KIND:

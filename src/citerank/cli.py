@@ -225,6 +225,8 @@ def _read_config(path: str) -> dict[str, str]:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc.reason}") from exc
     values: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -305,6 +307,10 @@ def _read_scores(path: str) -> dict[str, float]:
             except json.JSONDecodeError as exc:
                 raise ParseError(
                     f"invalid JSON: {exc.msg}", path=path, line_no=line_no
+                ) from exc
+            except ValueError as exc:  # an integer literal past the digit limit
+                raise ParseError(
+                    f"invalid JSON: {exc}", path=path, line_no=line_no
                 ) from exc
             if not isinstance(obj, dict):
                 raise ParseError("expected an object", path=path, line_no=line_no)

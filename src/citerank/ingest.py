@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import ConfigError, ParseError
 
@@ -51,13 +51,20 @@ STANCE_CLASSES = ("supporting", "mentioning", "contrasting")
 # OCR or metadata defect, and anything past next year has not happened yet.
 MIN_YEAR = 1400
 
+# Fixed once when the process starts, so one run checks every line against
+# the same bound.
+_MAX_YEAR = date.today().year + 1
+
 
 def max_year() -> int:
-    return date.today().year + 1
+    return _MAX_YEAR
 
 
-@dataclass(frozen=True, slots=True)
-class StatementRecord:
+# Records are named tuples: cheap to build once per line, immutable, and
+# compared by value.
+
+
+class StatementRecord(NamedTuple):
     """One classified citation statement.
 
     ``stance`` is one of STANCE_CLASSES; on the wire the key is ``class``,
@@ -70,8 +77,7 @@ class StatementRecord:
     stance: str
 
 
-@dataclass(frozen=True, slots=True)
-class ReferenceEvent:
+class ReferenceEvent(NamedTuple):
     """One entry of a reference list: citing work lists cited work."""
 
     citing_id: str
@@ -79,8 +85,7 @@ class ReferenceEvent:
     citing_year: int
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     """Metadata for a cited publication; journal and field may be absent."""
 
     id: str
@@ -89,8 +94,7 @@ class PublicationRecord:
     year: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AffiliationRecord:
+class AffiliationRecord(NamedTuple):
     """Institutions credited on one publication, deduplicated."""
 
     pub_id: str
@@ -99,100 +103,123 @@ class AffiliationRecord:
 
 T = TypeVar("T")
 
+_scan_once = json.JSONDecoder().scan_once
+_LINE_ENDS = ("", "\n", "\r\n")
+
 
 def _load_object(line: str) -> dict:
+    # One scan from the first character covers a well-formed line; anything
+    # else (leading whitespace, trailing data, a BOM, a defect) goes through
+    # json.loads, so what is accepted and every error message stay its own.
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}") from exc
+        obj, end = _scan_once(line, 0)
+        clean = line[end:] in _LINE_ENDS
+    except (StopIteration, ValueError):
+        clean = False
+    if not clean:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal past the digit limit
+            raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
-def _req_str(obj: dict, key: str) -> str:
+# The parsers check each key inline; these build the message once a check
+# has failed.  JSON yields exact types, so ``type(x) is int`` excludes bools:
+# a year of true is a defect, not 1.
+
+
+def _str_error(obj: dict, key: str) -> ParseError:
     if key not in obj:
-        raise ParseError(f"missing key {key!r}")
+        return ParseError(f"missing key {key!r}")
+    return ParseError(f"key {key!r} must be a nonempty string, got {obj[key]!r}")
+
+
+def _year_error(obj: dict, key: str) -> ParseError:
+    if key not in obj:
+        return ParseError(f"missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, str) or value == "":
-        raise ParseError(f"key {key!r} must be a nonempty string, got {value!r}")
-    return value
-
-
-def _req_year(obj: dict, key: str) -> int:
-    if key not in obj:
-        raise ParseError(f"missing key {key!r}")
-    return _check_year(obj[key], key)
-
-
-def _check_year(value: object, key: str) -> int:
-    # bool is an int subtype; a year of true is a defect, not 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"key {key!r} must be an integer year, got {value!r}")
-    if not MIN_YEAR <= value <= max_year():
-        raise ParseError(
-            f"key {key!r} year {value} outside plausible range "
-            f"[{MIN_YEAR}, {max_year()}]"
-        )
-    return value
+    if type(value) is not int:
+        return ParseError(f"key {key!r} must be an integer year, got {value!r}")
+    return ParseError(
+        f"key {key!r} year {value} outside plausible range [{MIN_YEAR}, {_MAX_YEAR}]"
+    )
 
 
 def parse_statement(line: str) -> StatementRecord:
     """Parse one statement line; raises ParseError on any defect."""
     obj = _load_object(line)
-    stance = _req_str(obj, "class")
+    stance = obj.get("class")
     if stance not in STANCE_CLASSES:
+        if type(stance) is not str or not stance:
+            raise _str_error(obj, "class")
         raise ParseError(
             f"key 'class' must be one of {', '.join(STANCE_CLASSES)}, got {stance!r}"
         )
-    return StatementRecord(
-        citing_id=_req_str(obj, "citing_id"),
-        cited_id=_req_str(obj, "cited_id"),
-        citing_year=_req_year(obj, "citing_year"),
-        stance=stance,
-    )
+    citing_id = obj.get("citing_id")
+    if type(citing_id) is not str or not citing_id:
+        raise _str_error(obj, "citing_id")
+    cited_id = obj.get("cited_id")
+    if type(cited_id) is not str or not cited_id:
+        raise _str_error(obj, "cited_id")
+    year = obj.get("citing_year")
+    if type(year) is not int or not MIN_YEAR <= year <= _MAX_YEAR:
+        raise _year_error(obj, "citing_year")
+    return StatementRecord(citing_id, cited_id, year, stance)
 
 
 def parse_reference(line: str) -> ReferenceEvent:
     """Parse one reference-event line; raises ParseError on any defect."""
     obj = _load_object(line)
-    return ReferenceEvent(
-        citing_id=_req_str(obj, "citing_id"),
-        cited_id=_req_str(obj, "cited_id"),
-        citing_year=_req_year(obj, "citing_year"),
-    )
+    citing_id = obj.get("citing_id")
+    if type(citing_id) is not str or not citing_id:
+        raise _str_error(obj, "citing_id")
+    cited_id = obj.get("cited_id")
+    if type(cited_id) is not str or not cited_id:
+        raise _str_error(obj, "cited_id")
+    year = obj.get("citing_year")
+    if type(year) is not int or not MIN_YEAR <= year <= _MAX_YEAR:
+        raise _year_error(obj, "citing_year")
+    return ReferenceEvent(citing_id, cited_id, year)
 
 
 def parse_publication(line: str) -> PublicationRecord:
     """Parse one publication metadata line; optional keys may be absent or null."""
     obj = _load_object(line)
     journal_id = obj.get("journal_id")
-    if journal_id is not None and (not isinstance(journal_id, str) or journal_id == ""):
+    if journal_id is not None and (type(journal_id) is not str or not journal_id):
         raise ParseError(f"key 'journal_id' must be a nonempty string, got {journal_id!r}")
     field = obj.get("field")
-    if field is not None and (not isinstance(field, str) or field == ""):
+    if field is not None and (type(field) is not str or not field):
         raise ParseError(f"key 'field' must be a nonempty string, got {field!r}")
     year = obj.get("year")
-    if year is not None:
-        year = _check_year(year, "year")
-    return PublicationRecord(
-        id=_req_str(obj, "id"), journal_id=journal_id, field=field, year=year
-    )
+    if year is not None and (type(year) is not int or not MIN_YEAR <= year <= _MAX_YEAR):
+        raise _year_error(obj, "year")
+    pub_id = obj.get("id")
+    if type(pub_id) is not str or not pub_id:
+        raise _str_error(obj, "id")
+    return PublicationRecord(pub_id, journal_id, field, year)
 
 
 def parse_affiliation(line: str) -> AffiliationRecord:
     """Parse one affiliation line; institution_ids must be an array of ids."""
     obj = _load_object(line)
-    pub_id = _req_str(obj, "pub_id")
+    pub_id = obj.get("pub_id")
+    if type(pub_id) is not str or not pub_id:
+        raise _str_error(obj, "pub_id")
     raw = obj.get("institution_ids")
     if not isinstance(raw, list):
         raise ParseError(
             f"key 'institution_ids' must be an array of strings, got {raw!r}"
         )
     for item in raw:
-        if not isinstance(item, str) or item == "":
+        if type(item) is not str or not item:
             raise ParseError(f"institution id must be a nonempty string, got {item!r}")
-    return AffiliationRecord(pub_id=pub_id, institution_ids=frozenset(raw))
+    return AffiliationRecord(pub_id, frozenset(raw))
 
 
 # Serialization mirrors parsing so record -> line -> record is the identity.

@@ -154,6 +154,131 @@ class TestReferences:
         )
 
 
+class TestUnknownStance:
+    def test_hand_built_record_raises(self):
+        with pytest.raises(ValueError, match="unknown stance 'refuting'"):
+            fold([statement(stance="refuting")])
+
+    def test_only_a_counted_record_is_checked(self):
+        store = fold([statement(year=2023, stance="refuting"), statement(cited="W404", stance="")])
+        assert store.diagnostics.statements_out_of_window == 1
+        assert store.diagnostics.statements_unresolved == 1
+
+
+def naive_store(pubs, affils, statements, events, window, kind, by_field):
+    """Expected tallies and diagnostics by a plain walk over the records."""
+    journal_of, field_of, insts_of = {}, {}, {}
+    for pub in pubs:  # a repeated id replaces the earlier record wholesale
+        for table in (journal_of, field_of):
+            table.pop(pub.id, None)
+        if pub.journal_id is not None:
+            journal_of[pub.id] = pub.journal_id
+        if pub.field is not None:
+            field_of[pub.id] = pub.field
+    for aff in affils:
+        insts_of[aff.pub_id] = aff.institution_ids
+
+    def credited(cited_id):
+        if kind == "journal":
+            names = [journal_of[cited_id]] if cited_id in journal_of else []
+        elif kind == "field":
+            names = [field_of[cited_id]] if cited_id in field_of else []
+        else:
+            names = sorted(insts_of.get(cited_id, ()))
+        if not by_field:
+            return [(name, None) for name in names]
+        if cited_id not in field_of:
+            return []
+        return [(name, field_of[cited_id]) for name in names]
+
+    counts = {}
+    diag = dict.fromkeys(
+        ["statements_" + b for b in ("seen", "counted", "out_of_window", "unresolved")]
+        + ["events_" + b for b in ("seen", "counted", "out_of_window", "unresolved", "duplicate")],
+        0,
+    )
+    slot = {"supporting": 0, "mentioning": 1, "contrasting": 2}
+    for rec in statements:
+        diag["statements_seen"] += 1
+        if not window.from_year <= rec.citing_year <= window.to_year:
+            diag["statements_out_of_window"] += 1
+        elif not credited(rec.cited_id):
+            diag["statements_unresolved"] += 1
+        else:
+            diag["statements_counted"] += 1
+            for name in credited(rec.cited_id):
+                counts.setdefault(name, [0, 0, 0, 0])[slot[rec.stance]] += 1
+    pairs = []
+    for ev in events:
+        diag["events_seen"] += 1
+        if not window.from_year <= ev.citing_year <= window.to_year:
+            diag["events_out_of_window"] += 1
+        elif not credited(ev.cited_id):
+            diag["events_unresolved"] += 1
+        elif (ev.citing_id, ev.cited_id) in pairs:
+            diag["events_duplicate"] += 1
+        else:
+            pairs.append((ev.citing_id, ev.cited_id))
+            diag["events_counted"] += 1
+            for name in credited(ev.cited_id):
+                counts.setdefault(name, [0, 0, 0, 0])[3] += 1
+    return {name: tuple(c) for name, c in counts.items()}, diag
+
+
+pub_ids = st.sampled_from(["W0", "W1", "W2", "W3", "W4"])
+# few sets over few ids, so publications often share an institution set
+institution_sets = st.sampled_from(
+    [set(), {"I1"}, {"I1", "I2"}, {"I2", "I3", "I4"}, {"I5"}]
+).map(frozenset)
+random_pubs = st.lists(
+    st.builds(
+        PublicationRecord,
+        pub_ids,
+        journal_id=st.none() | st.sampled_from(["J1", "J2", "J3"]),
+        field=st.none() | st.sampled_from(["F1", "F2"]),
+    ),
+    max_size=7,
+)
+random_affils = st.lists(st.builds(AffiliationRecord, pub_ids, institution_sets), max_size=6)
+# W5 is never linked; windows are drawn from the same years, so most leave
+# some records outside
+random_years = st.integers(2021, 2026)
+random_cited = st.sampled_from(["W0", "W1", "W2", "W3", "W4", "W5"])
+random_statements = st.lists(
+    st.builds(StatementRecord, citing_ids, random_cited, random_years, stances), max_size=25
+)
+random_events = st.lists(
+    st.builds(ReferenceEvent, citing_ids, random_cited, random_years), max_size=25
+)
+random_windows = st.tuples(random_years, random_years).map(lambda ys: Window(min(ys), max(ys)))
+
+
+class TestMatchesNaiveWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        random_pubs,
+        random_affils,
+        random_statements,
+        random_events,
+        random_windows,
+        st.sampled_from(ENTITY_KINDS),
+        st.booleans(),
+    )
+    def test_tallies_and_diagnostics(
+        self, pubs, affils, statements, events, window, kind, by_field
+    ):
+        tables = build_link_tables(pubs, affils)
+        store = build_store(statements, events, tables, window, kind, by_field=by_field)
+        got = {
+            (key.id, key.field): (t.supporting, t.mentioning, t.contrasting, t.references)
+            for key, t in store.tallies.items()
+        }
+        assert all(key.kind == kind for key in store.tallies)
+        expected, diag = naive_store(pubs, affils, statements, events, window, kind, by_field)
+        assert got == expected
+        assert {name: getattr(store.diagnostics, name) for name in diag} == diag
+
+
 class TestPerFieldGrouping:
     def test_keys_carry_field_label(self):
         store = fold([statement(cited="W1"), statement(cited="W2")], kind="institution", by_field=True)

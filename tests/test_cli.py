@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citerank.aggregate import load_store
 from citerank.cli import main
@@ -282,6 +285,16 @@ class TestCorrelate:
         assert captured.out == ""
         assert f"{scores}:2: key 'value' must be a finite number" in captured.err
 
+    def test_huge_integer_score_exit_2(self, corpus, tmp_path, capsys):
+        # json.loads raises a plain ValueError past 4,300 digits
+        store_path = tmp_path / "store.jsonl"
+        assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "J1", "value": %s}\n' % ("9" * 5000), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
+        assert f"{scores}:1: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+
     def test_invalid_utf8_scores_exit_2(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
         assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
@@ -334,6 +347,14 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert (report["records"], report["skipped"], report["first_bad_line"]) == (1, 1, 2)
 
+    def test_huge_integer_is_a_defect(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        huge = STATEMENTS[0].replace("2024", "9" * 5000)
+        bad.write_text(f"{STATEMENTS[0]}\n{huge}\n", encoding="utf-8")
+        assert main(["validate", "--statements", str(bad)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["records"], report["skipped"], report["first_bad_line"]) == (1, 1, 2)
+
     def test_nothing_to_validate_is_usage_error(self, capsys):
         assert main(["validate"]) == 1
 
@@ -380,6 +401,33 @@ class TestExitCodes:
         assert main(aggregate_args(corpus)) == 2
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_huge_integer_line(self, corpus, tmp_path, capsys, mode):
+        bad = tmp_path / "bad.jsonl"
+        huge = STATEMENTS[0].replace("2024", "9" * 5000)
+        bad.write_text(f"{STATEMENTS[0]}\n{huge}\n", encoding="utf-8")
+        code = main(aggregate_args(dict(corpus, statements=str(bad)), "--mode", mode))
+        captured = capsys.readouterr()
+        if mode == "strict":
+            assert code == 2
+            assert f"{bad}:2: invalid JSON: Exceeds the limit" in captured.err
+        else:
+            assert code == 0
+            ingest = [e for e in stderr_events(captured) if e.get("file") == str(bad)]
+            assert ingest == [
+                {"event": "ingest", "file": str(bad), "skipped": 1, "first_bad_line": 2}
+            ]
+
+    def test_huge_integer_in_store_exit_2(self, tmp_path, capsys):
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_text(
+            '{"kind":"journal","id":"J1","supporting":%s,"mentioning":0,'
+            '"contrasting":0,"references":0}\n{"kind":"diagnostics"}\n' % ("9" * 5000),
+            encoding="utf-8",
+        )
+        assert main(["rank", str(store_path)]) == 2
+        assert f"{store_path}:1: invalid JSON: Exceeds the limit" in capsys.readouterr().err
 
     def test_corrupt_store_exit_2(self, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
@@ -461,7 +509,89 @@ class TestConfigFile:
             main(aggregate_args(corpus, "--config", str(tmp_path / "absent.conf"))) == 1
         )
 
+    def test_config_not_utf8_is_usage_error(self, corpus, tmp_path, capsys):
+        config = tmp_path / "citerank.conf"
+        config.write_bytes(b"format = \xff\n")
+        assert main(aggregate_args(corpus, "--config", str(config))) == 1
+        assert f"config file {config} is not valid UTF-8" in capsys.readouterr().err
+
     def test_malformed_config_line_rejected(self, corpus, tmp_path, capsys):
         config = tmp_path / "citerank.conf"
         config.write_text("just words\n", encoding="utf-8")
         assert main(aggregate_args(corpus, "--config", str(config))) == 1
+
+
+# -- fuzz: mixed valid and garbage NDJSON through main() -------------------
+
+GARBAGE = [
+    b"\xff\xfe",
+    b'{"citing_id": "C\xc3", "cited_id": "W1", "citing_year": 2024}',
+    b'{"citing_id": "C1", "cited_id": "W1", "citing_year": NaN, "class": "supporting"}',
+    b'{"citing_id": "C1", "cited_id": "W1", "citing_year": true, "class": "mentioning"}',
+    b'{"citing_id": "", "cited_id": "W1", "citing_year": 2024, "class": "supporting"}',
+    b'{"id": "", "journal_id": "J1"}',
+    b'{"pub_id": "", "institution_ids": ["I1"]}',
+    b'{"pub_id": "W1", "institution_ids": [""]}',
+    b'{"citing_id": "C1", "cited_id": "W1", "citing_year": ' + b"9" * 5000 + b"}",
+    b'{"id": "W2", "year": -' + b"1" * 4400 + b"}",
+    b'{"id": "W1", "journal_id": NaN}',
+    b"\xef\xbb\xbf" + STATEMENTS[0].encode(),
+    b"{",
+    b"",
+    b"[1, 2]",
+    b"Infinity",
+]
+VALID = {
+    "statements": STATEMENTS,
+    "references": REFERENCES,
+    "pubs": PUBS,
+    "affiliations": AFFILS,
+}
+
+
+def fuzzed_file(name):
+    valid = st.sampled_from([line.encode() for line in VALID[name]])
+    garbage = st.sampled_from(GARBAGE) | st.binary(max_size=30).map(
+        lambda raw: raw.replace(b"\n", b"")
+    )
+    return st.lists(valid | garbage, max_size=12)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fixed_dictionaries({name: fuzzed_file(name) for name in VALID}),
+        st.sampled_from(["journal", "institution", "field"]),
+        st.booleans(),
+        st.sampled_from(["strict", "lenient"]),
+    )
+    def test_main_never_crashes(self, tmp_path_factory, files, kind, by_field, mode):
+        base = tmp_path_factory.mktemp("fuzz")
+        paths = {}
+        for name, lines in files.items():
+            path = base / f"{name}.jsonl"
+            path.write_bytes(b"".join(line + b"\n" for line in lines))
+            paths[name] = str(path)
+        args = aggregate_args(paths, "--mode", mode, "--out", str(base / "store.jsonl"))
+        args[args.index("--entity") + 1] = kind
+        if by_field:
+            args.append("--group-by-field")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 1, 2, 3)
+        if mode == "lenient":
+            assert code == 0, err.getvalue()
+            events = [json.loads(line) for line in err.getvalue().splitlines()]
+            skipped = {e["file"]: e["skipped"] for e in events if e["event"] == "ingest"}
+            aggregate = next(e for e in events if e["event"] == "aggregate")
+            for name, seen in (("statements", "statements_seen"), ("references", "events_seen")):
+                assert aggregate[seen] + skipped[paths[name]] == len(files[name])
+
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["validate", *[f"--{name}={path}" for name, path in paths.items()]])
+        assert code in (0, 2)
+        for report in map(json.loads, out.getvalue().splitlines()):
+            name = next(n for n, p in paths.items() if p == report["file"])
+            assert report["records"] + report["skipped"] == len(files[name])

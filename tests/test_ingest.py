@@ -265,3 +265,160 @@ class TestSkipReportRecord:
             "skipped": 1,
             "first_bad_line": 7,
         }
+
+
+# -- differential check of the statement and reference parsers -------------
+#
+# The oracle spells out the specification literally: json.loads, then each
+# key checked in schema order with isinstance.  The parsers must agree with
+# it on every line: the same record, or a ParseError with the same message.
+
+
+def _oracle_object(line):
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _oracle_str(obj, key):
+    if key not in obj:
+        raise ParseError(f"missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, str) or value == "":
+        raise ParseError(f"key {key!r} must be a nonempty string, got {value!r}")
+    return value
+
+
+def _oracle_year(obj, key):
+    if key not in obj:
+        raise ParseError(f"missing key {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"key {key!r} must be an integer year, got {value!r}")
+    if not MIN_YEAR <= value <= max_year():
+        raise ParseError(
+            f"key {key!r} year {value} outside plausible range [{MIN_YEAR}, {max_year()}]"
+        )
+    return value
+
+
+def oracle_statement(line):
+    obj = _oracle_object(line)
+    stance = _oracle_str(obj, "class")
+    if stance not in STANCE_CLASSES:
+        raise ParseError(
+            f"key 'class' must be one of {', '.join(STANCE_CLASSES)}, got {stance!r}"
+        )
+    return StatementRecord(
+        citing_id=_oracle_str(obj, "citing_id"),
+        cited_id=_oracle_str(obj, "cited_id"),
+        citing_year=_oracle_year(obj, "citing_year"),
+        stance=stance,
+    )
+
+
+def oracle_reference(line):
+    obj = _oracle_object(line)
+    return ReferenceEvent(
+        citing_id=_oracle_str(obj, "citing_id"),
+        cited_id=_oracle_str(obj, "cited_id"),
+        citing_year=_oracle_year(obj, "citing_year"),
+    )
+
+
+def outcome(parser, line):
+    try:
+        rec = parser(line)
+    except ParseError as exc:
+        return ("error", exc.message)
+    return (type(rec).__name__, rec)
+
+
+# JSON text of one value; huge integers and NaN are written out by hand
+# because json.dumps will not produce them from a value
+id_values = ids.map(json.dumps) | st.sampled_from(
+    ['"C1"', '"W1"', '""', '"\\u00e9"', "7", "null", "[]", "{}", "true"]
+)
+year_values = (
+    years.map(str)
+    | st.integers(-10**6, 10**6).map(str)
+    | st.sampled_from(
+        ["true", "false", "2024.0", "2.024e3", "NaN", "Infinity", "-Infinity", "null"]
+        + ['"2024"', "9" * 4301, "-" + "1" * 5000, "1" + "0" * 4300, "1e999"]
+    )
+)
+class_values = st.sampled_from(STANCE_CLASSES).map(json.dumps) | st.sampled_from(
+    ['"refuting"', '""', '"Supporting"', "null", "1", "[]"]
+)
+VALUES = {
+    "citing_id": id_values,
+    "cited_id": id_values,
+    "citing_year": year_values,
+    "class": class_values,
+}
+
+
+@st.composite
+def object_lines(draw):
+    """One JSON object with each known key present, absent, or repeated."""
+    parts = []
+    for key, values in VALUES.items():
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2]))):
+            parts.append(f"{json.dumps(key)}: {draw(values)}")
+    if draw(st.booleans()):
+        parts.append('"confidence": 0.93')
+    parts = draw(st.permutations(parts))
+    return "{" + ", ".join(parts) + "}"
+
+
+raw_lines = (
+    object_lines()
+    | st.sampled_from(["", "{", "[1, 2]", "42", '"text"', "null", "{}", "NaN", "{} {}"])
+    | st.text(max_size=40)
+)
+decorated_lines = st.tuples(
+    st.sampled_from(["", "", "", " ", "\t", "\ufeff", "\n"]),
+    raw_lines,
+    st.sampled_from(["", "\n", "\n", "\r\n", " ", " \n", "\r", " x", "}", ",", "\n\n", "\x00"]),
+).map("".join)
+
+
+class TestParsersMatchOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(decorated_lines)
+    def test_statement(self, line):
+        assert outcome(parse_statement, line) == outcome(oracle_statement, line)
+
+    @settings(max_examples=400, deadline=None)
+    @given(decorated_lines)
+    def test_reference(self, line):
+        assert outcome(parse_reference, line) == outcome(oracle_reference, line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(GOOD, id="plain"),
+            pytest.param(GOOD + "\n", id="lf"),
+            pytest.param(GOOD + "\r\n", id="crlf"),
+            pytest.param(" " + GOOD, id="leading-space"),
+            pytest.param(GOOD + " x\n", id="trailing-data"),
+            pytest.param("\ufeff" + GOOD, id="bom"),
+            pytest.param(GOOD.replace("2024", "9" * 5000), id="huge-int"),
+            pytest.param(GOOD.replace("2024", "NaN"), id="nan-year"),
+            pytest.param(GOOD.replace("2024", "true"), id="bool-year"),
+            pytest.param(GOOD.replace("2024", "2024.0"), id="float-year"),
+            pytest.param(GOOD.replace('"C1"', '""'), id="empty-id"),
+            pytest.param(
+                '{"cited_id": "W1", "citing_year": 2024, "class": "supporting"}', id="missing-id"
+            ),
+        ],
+    )
+    def test_named_cases(self, line):
+        assert outcome(parse_statement, line) == outcome(oracle_statement, line)
+        assert outcome(parse_reference, line) == outcome(oracle_reference, line)
