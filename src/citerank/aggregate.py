@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, DataError
-from .ingest import ReferenceEvent, StatementRecord
+from .errors import ConfigError, DataError, ParseError
+from .ingest import ReferenceEvent, StatementRecord, _decode_line
 from .linking import ENTITY_KINDS, EntityKey, LinkTables, resolve
 from .metrics import EntityTally
 
@@ -254,64 +254,75 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
 
     The kind is recovered from the rows.  Defects raise DataError.
     """
-    store = Store(kind=None)
-    saw_diagnostics = False
+    tallies: dict[EntityKey, EntityTally] = {}
+    kind: str | None = None
+    diagnostics: Diagnostics | None = None
     for line_no, line in enumerate(source, start=1):
         if not line.strip():
             continue
-        if saw_diagnostics:
-            raise DataError(
-                f"{path}:{line_no}: rows after the diagnostics record"
-            )
+        if diagnostics is not None:
+            raise DataError(f"{path}:{line_no}: rows after the diagnostics record")
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # an integer literal past the digit limit
-            raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            row = _decode_line(line)
+        except ParseError as exc:
+            raise DataError(f"{path}:{line_no}: {exc.message}") from exc
         if not isinstance(row, dict) or "kind" not in row:
             raise DataError(f"{path}:{line_no}: expected an object with a 'kind' key")
-        if row["kind"] == DIAGNOSTICS_KIND:
-            _load_diagnostics(row, store.diagnostics, path, line_no)
-            saw_diagnostics = True
+        row_kind = row["kind"]
+        if row_kind == DIAGNOSTICS_KIND:
+            diagnostics = _load_diagnostics(row, path, line_no)
             continue
-        _load_entity_row(row, store, path, line_no)
-    if not saw_diagnostics:
+        if row_kind not in ENTITY_KINDS:
+            raise DataError(f"{path}:{line_no}: unknown entity kind {row_kind!r}")
+        if kind is None:
+            kind = row_kind
+        elif row_kind != kind:
+            raise DataError(
+                f"{path}:{line_no}: mixed entity kinds {kind!r} and {row_kind!r}"
+            )
+        entity_id = row.get("id")
+        if type(entity_id) is not str or not entity_id:
+            raise DataError(f"{path}:{line_no}: 'id' must be a nonempty string")
+        label = row.get("field")
+        if label is not None and (type(label) is not str or not label):
+            raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
+        # JSON yields exact types, so ``type(x) is int`` excludes bools
+        supporting = row.get("supporting")
+        mentioning = row.get("mentioning")
+        contrasting = row.get("contrasting")
+        references = row.get("references")
+        if not (
+            type(supporting) is int and supporting >= 0
+            and type(mentioning) is int and mentioning >= 0
+            and type(contrasting) is int and contrasting >= 0
+            and type(references) is int and references >= 0
+        ):
+            raise _counter_error(row, path, line_no)
+        tally = EntityTally(supporting, mentioning, contrasting, references)
+        if tallies.setdefault(EntityKey(kind, entity_id, label), tally) is not tally:
+            where = "" if label is None else f" in field {label!r}"
+            raise DataError(
+                f"{path}:{line_no}: duplicate entity {kind}/{entity_id}{where}"
+            )
+    if diagnostics is None:
         raise DataError(f"{path}: missing trailing diagnostics record")
-    return store
+    return Store(kind, tallies, diagnostics)
 
 
-def _load_entity_row(row: dict, store: Store, path: str, line_no: int) -> None:
-    kind = row.get("kind")
-    if kind not in ENTITY_KINDS:
-        raise DataError(f"{path}:{line_no}: unknown entity kind {kind!r}")
-    if store.kind is None:
-        store.kind = kind
-    elif kind != store.kind:
-        raise DataError(
-            f"{path}:{line_no}: mixed entity kinds {store.kind!r} and {kind!r}"
-        )
-    entity_id = row.get("id")
-    if not isinstance(entity_id, str) or not entity_id:
-        raise DataError(f"{path}:{line_no}: 'id' must be a nonempty string")
-    label = row.get("field")
-    if label is not None and (not isinstance(label, str) or not label):
-        raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
-    counters = {}
+def _counter_error(row: dict, path: str, line_no: int) -> DataError:
+    """The message for the first counter of an entity row that is not a
+    nonnegative integer."""
     for name in ("supporting", "mentioning", "contrasting", "references"):
         value = row.get(name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise DataError(
+        if type(value) is not int or value < 0:
+            return DataError(
                 f"{path}:{line_no}: {name!r} must be a nonnegative integer, got {value!r}"
             )
-        counters[name] = value
-    key = EntityKey(kind, entity_id, label)
-    if key in store.tallies:
-        raise DataError(f"{path}:{line_no}: duplicate entity {kind}/{entity_id}")
-    store.tallies[key] = EntityTally(**counters)
+    raise AssertionError("every counter is a nonnegative integer")
 
 
-def _load_diagnostics(row: dict, diag: Diagnostics, path: str, line_no: int) -> None:
+def _load_diagnostics(row: dict, path: str, line_no: int) -> Diagnostics:
+    diag = Diagnostics()
     for spec in fields(Diagnostics):
         value = row.get(spec.name, 0)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -320,3 +331,4 @@ def _load_diagnostics(row: dict, diag: Diagnostics, path: str, line_no: int) -> 
                 f"nonnegative integer, got {value!r}"
             )
         setattr(diag, spec.name, value)
+    return diag

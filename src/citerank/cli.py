@@ -34,6 +34,7 @@ from .aggregate import (
 from .errors import ConfigError, DataError, ParseError
 from .ingest import (
     SkipReport,
+    _decode_line,
     parse_affiliation,
     parse_publication,
     parse_reference,
@@ -303,15 +304,9 @@ def _read_scores(path: str) -> dict[str, float]:
     with _open_utf8(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"invalid JSON: {exc.msg}", path=path, line_no=line_no
-                ) from exc
-            except ValueError as exc:  # an integer literal past the digit limit
-                raise ParseError(
-                    f"invalid JSON: {exc}", path=path, line_no=line_no
-                ) from exc
+                obj = _decode_line(line)
+            except ParseError as exc:
+                raise ParseError(exc.message, path=path, line_no=line_no) from exc
             if not isinstance(obj, dict):
                 raise ParseError("expected an object", path=path, line_no=line_no)
             entity_id = obj.get("id")

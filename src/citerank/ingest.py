@@ -107,22 +107,33 @@ _scan_once = json.JSONDecoder().scan_once
 _LINE_ENDS = ("", "\n", "\r\n")
 
 
-def _load_object(line: str) -> dict:
+def _decode_line(line: str) -> object:
+    """The JSON value of one line, as ``json.loads`` reads it.
+
+    Every defect raises ParseError without a location, so the stream, the
+    store reader and the scores reader each add their own.
+    """
     # One scan from the first character covers a well-formed line; anything
     # else (leading whitespace, trailing data, a BOM, a defect) goes through
     # json.loads, so what is accepted and every error message stay its own.
     try:
-        obj, end = _scan_once(line, 0)
-        clean = line[end:] in _LINE_ENDS
-    except (StopIteration, ValueError):
-        clean = False
-    if not clean:
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # an integer literal past the digit limit
-            raise ParseError(f"invalid JSON: {exc}") from exc
+            obj, end = _scan_once(line, 0)
+            if line[end:] in _LINE_ENDS:
+                return obj
+        except (StopIteration, ValueError):
+            pass
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the stack
+        raise ParseError("invalid JSON: nested too deeply") from exc
+
+
+def _load_object(line: str) -> dict:
+    obj = _decode_line(line)
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     return obj

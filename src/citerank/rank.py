@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .aggregate import Store
 from .errors import ConfigError
@@ -71,17 +71,26 @@ class RankSpec:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
 
 
-@dataclass(frozen=True, slots=True)
-class RankedRow:
-    """One entity in a ranked table; rank is 1-based and dense."""
+class RankedRow(NamedTuple):
+    """One entity in a ranked table; rank is 1-based and dense.
+
+    The display strings are derived from the exact values on each access,
+    so only rows that are printed pay for rounding.
+    """
 
     rank: int
     entity: EntityKey
     tally: EntityTally
     usi_exact: float
     si_exact: float | None
-    usi_display: str
-    si_display: str
+
+    @property
+    def usi_display(self) -> str:
+        return round_display(self.usi_exact)
+
+    @property
+    def si_display(self) -> str:
+        return round_display(self.si_exact)
 
 
 @dataclass(slots=True)
@@ -106,6 +115,9 @@ class ExclusionReport:
         return {spec.name: getattr(self, spec.name) for spec in fields(ExclusionReport)}
 
 
+_CENT = Decimal("0.01")
+
+
 def round_display(value: float | None) -> str:
     """Two-decimal display string, ties rounding away from zero.
 
@@ -115,7 +127,7 @@ def round_display(value: float | None) -> str:
     """
     if value is None:
         return ""
-    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(value)).quantize(_CENT, rounding=ROUND_HALF_UP))
 
 
 def rank_entities(
@@ -159,15 +171,7 @@ def rank_entities(
         scored = scored[: spec.top_k]
 
     rows = [
-        RankedRow(
-            rank=position,
-            entity=key,
-            tally=tally,
-            usi_exact=usi_value,
-            si_exact=si_value,
-            usi_display=round_display(usi_value),
-            si_display=round_display(si_value),
-        )
+        RankedRow(position, key, tally, usi_value, si_value)
         for position, (_, key, tally, usi_value, si_value) in enumerate(scored, start=1)
     ]
     return rows, report
@@ -273,6 +277,22 @@ def correlate(
 # csv and json carry exact values (repr round-trips them losslessly); the
 # markdown table is the human view and shows display strings only.
 
+# ``json.dumps`` with an indent always runs the pure-Python encoder.  The
+# exported rows are flat objects, so the C encoder, with the indented item
+# separator, writes each one's members as the indented form would; a
+# literal newline never occurs inside an encoded string.
+_FLAT_OBJECT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))
+
+
+def _json_array(objects: list[dict]) -> str:
+    """The bytes of ``json.dumps(objects, indent=2, ensure_ascii=False)``
+    and a newline, for a list of nonempty objects of scalar values."""
+    if not objects:
+        return "[]\n"
+    encode = _FLAT_OBJECT_ENCODER.encode
+    members = ["{\n    " + encode(obj)[1:-1] + "\n  }" for obj in objects]
+    return "[\n  " + ",\n  ".join(members) + "\n]\n"
+
 
 def export_rows(rows: list[RankedRow], fmt: str) -> str:
     if fmt == "csv":
@@ -324,7 +344,7 @@ def _rows_json(rows: list[RankedRow]) -> str:
         }
         for row in rows
     ]
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _json_array(payload)
 
 
 def _md_escape(text: str) -> str:
@@ -394,7 +414,7 @@ def _breakdown_json(rows: list[FieldBreakdownRow]) -> str:
         }
         for row in rows
     ]
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _json_array(payload)
 
 
 def _breakdown_markdown(rows: list[FieldBreakdownRow]) -> str:

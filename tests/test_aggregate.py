@@ -1,10 +1,13 @@
 import io
+import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from citerank.aggregate import (
+    Diagnostics,
     Store,
     Window,
     build_store,
@@ -352,6 +355,18 @@ class TestSerialization:
         with pytest.raises(DataError):
             load_store(io.StringIO(row + row + diag))
 
+    def test_duplicate_entity_names_field_label(self):
+        def row(label):
+            return (
+                '{"kind":"institution","id":"I1","field":"%s","supporting":1,'
+                '"mentioning":0,"contrasting":0,"references":0}\n' % label
+            )
+
+        text = row("Physics") + row("Maths") + row("Physics") + '{"kind":"diagnostics"}\n'
+        with pytest.raises(DataError) as info:
+            load_store(io.StringIO(text))
+        assert str(info.value) == "<store>:3: duplicate entity institution/I1 in field 'Physics'"
+
     def test_mixed_kinds_rejected(self):
         rows = (
             '{"kind":"journal","id":"J1","supporting":1,"mentioning":0,"contrasting":0,"references":0}\n'
@@ -380,3 +395,190 @@ class TestConsistency:
             },
         )
         assert count_statement_excess(store) == 1
+
+
+# -- load_store against a literal oracle -------------------------------------
+#
+# The oracle is the row checker as it stood before load_store was rewritten
+# for speed: json.loads, isinstance checks, a counters dict.  Only the
+# duplicate-entity message differs from that code: it names the field label.
+
+
+def oracle_load_store(source, path="<store>"):
+    store = Store(kind=None)
+    saw_diagnostics = False
+    for line_no, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        if saw_diagnostics:
+            raise DataError(f"{path}:{line_no}: rows after the diagnostics record")
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict) or "kind" not in row:
+            raise DataError(f"{path}:{line_no}: expected an object with a 'kind' key")
+        if row["kind"] == "diagnostics":
+            for spec in fields(Diagnostics):
+                value = row.get(spec.name, 0)
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                    raise DataError(
+                        f"{path}:{line_no}: diagnostics {spec.name!r} must be a "
+                        f"nonnegative integer, got {value!r}"
+                    )
+                setattr(store.diagnostics, spec.name, value)
+            saw_diagnostics = True
+            continue
+        kind = row.get("kind")
+        if kind not in ENTITY_KINDS:
+            raise DataError(f"{path}:{line_no}: unknown entity kind {kind!r}")
+        if store.kind is None:
+            store.kind = kind
+        elif kind != store.kind:
+            raise DataError(
+                f"{path}:{line_no}: mixed entity kinds {store.kind!r} and {kind!r}"
+            )
+        entity_id = row.get("id")
+        if not isinstance(entity_id, str) or not entity_id:
+            raise DataError(f"{path}:{line_no}: 'id' must be a nonempty string")
+        label = row.get("field")
+        if label is not None and (not isinstance(label, str) or not label):
+            raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
+        counters = {}
+        for name in ("supporting", "mentioning", "contrasting", "references"):
+            value = row.get(name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise DataError(
+                    f"{path}:{line_no}: {name!r} must be a nonnegative integer, got {value!r}"
+                )
+            counters[name] = value
+        key = EntityKey(kind, entity_id, label)
+        if key in store.tallies:
+            where = "" if label is None else f" in field {label!r}"
+            raise DataError(f"{path}:{line_no}: duplicate entity {kind}/{entity_id}{where}")
+        store.tallies[key] = EntityTally(**counters)
+    if not saw_diagnostics:
+        raise DataError(f"{path}: missing trailing diagnostics record")
+    return store
+
+
+def load_outcome(loader, text):
+    try:
+        return ("store", loader(io.StringIO(text)))
+    except DataError as exc:
+        return ("error", str(exc))
+
+
+def mostly(good, bad, odds=12):
+    """``good`` about ``odds`` times in ``odds + 1``, else ``bad``."""
+    return st.integers(0, odds).flatmap(lambda n: bad if n == 0 else good)
+
+
+# JSON text of one member value; NaN and huge integers are written by hand
+# because json.dumps will not produce them from a value
+COUNTER_VALUES = mostly(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(
+        ["-1", "true", "false", "1.0", "2e3", '"3"', "null", "NaN", "Infinity", "[]", "9" * 5000]
+    ),
+    odds=30,
+)
+ID_VALUES = mostly(
+    st.sampled_from(["J1", "J2", "I1", 'e\u0301|"', "x y"]).map(json.dumps),
+    st.sampled_from(['""', "7", "null", "[]"]),
+)
+LABEL_VALUES = mostly(
+    st.sampled_from(["Physics", "Maths"]).map(json.dumps), st.sampled_from(['""', "1", "null"])
+)
+DIAGNOSTICS_VALUES = mostly(
+    st.integers(0, 50).map(str), st.sampled_from(["-2", "true", "0.5", "null"])
+)
+
+
+@st.composite
+def entity_rows(draw, kind, by_field):
+    """An entity row of mostly the file's kind; each member is mostly present
+    once, sometimes absent or repeated."""
+    values = {
+        "kind": mostly(
+            st.just(json.dumps(kind)),
+            st.sampled_from(['"journal"', '"field"', '"city"', '""', "3", "null"]),
+        ),
+        "id": ID_VALUES,
+        "supporting": COUNTER_VALUES,
+        "mentioning": COUNTER_VALUES,
+        "contrasting": COUNTER_VALUES,
+        "references": COUNTER_VALUES,
+    }
+    if by_field:
+        values["field"] = LABEL_VALUES
+    parts = []
+    for key, value in values.items():
+        for _ in range(draw(mostly(st.just(1), st.sampled_from([0, 2]), odds=30))):
+            parts.append(f'"{key}": {draw(value)}')
+    if draw(st.booleans()):
+        parts = draw(st.permutations(parts))
+    return "{" + ", ".join(parts) + "}"
+
+
+@st.composite
+def diagnostics_rows(draw):
+    names = draw(st.lists(st.sampled_from([spec.name for spec in fields(Diagnostics)]), max_size=3))
+    parts = ['"kind": "diagnostics"'] + [f'"{name}": {draw(DIAGNOSTICS_VALUES)}' for name in names]
+    return "{" + ", ".join(draw(st.permutations(parts))) + "}"
+
+
+@st.composite
+def store_texts(draw):
+    """A store file: mostly entity rows of one kind, then a diagnostics row,
+    with now and then a blank or broken line, a stray diagnostics row, a BOM,
+    whitespace or trailing data."""
+    kind = draw(st.sampled_from(ENTITY_KINDS))
+    by_field = draw(st.booleans())
+    row = mostly(
+        entity_rows(kind, by_field),
+        diagnostics_rows() | st.sampled_from(["", "  ", "not json", "[1]", "{}", '{"kind": [1]}', "{"]),
+        odds=20,
+    )
+    lines = draw(st.lists(row, max_size=8))
+    if draw(mostly(st.just(True), st.just(False), odds=8)):
+        lines.append(draw(diagnostics_rows()))
+    lines = [
+        draw(mostly(st.just(""), st.sampled_from([" ", "\ufeff"]), odds=40))
+        + line
+        + draw(mostly(st.just(""), st.sampled_from([" ", " x", "\r"]), odds=40))
+        for line in lines
+    ]
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return "".join(line + ending for line in lines)
+
+
+class TestLoadStoreMatchesOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(store_texts())
+    def test_equal_store_or_same_error(self, text):
+        assert load_outcome(load_store, text) == load_outcome(oracle_load_store, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                '{"kind":"field","id":"F1","supporting":3,"mentioning":1,"contrasting":1,'
+                '"references":9}\r\n{"kind":"diagnostics","events_seen":4}\r\n',
+                id="crlf",
+            ),
+            pytest.param(
+                '{"kind":"journal","id":"J1","field":"Maths","supporting":1,"mentioning":0,'
+                '"contrasting":0,"references":0}\n'
+                '{"kind":"journal","id":"J1","supporting":1,"mentioning":0,"contrasting":0,'
+                '"references":0}\n{"kind":"diagnostics"}\n',
+                id="same-id-other-field",
+            ),
+            pytest.param('{"kind":"diagnostics"}\n\n  \n', id="blank-after-diagnostics"),
+            pytest.param('{"kind":"diagnostics"}\n{"kind":"diagnostics"}\n', id="two-diagnostics"),
+        ],
+    )
+    def test_named_cases(self, text):
+        assert load_outcome(load_store, text) == load_outcome(oracle_load_store, text)

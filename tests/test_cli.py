@@ -30,6 +30,8 @@ STATEMENTS = [
     '{"citing_id": "C3", "cited_id": "W9", "citing_year": 2024, "class": "supporting"}',
     '{"citing_id": "C4", "cited_id": "W3", "citing_year": 2024, "class": "supporting"}',
 ]
+# nested past the interpreter's recursion limit, so decoding it recurses too deep
+DEEP = "[" * 100_000
 REFERENCES = [
     '{"citing_id": "C1", "cited_id": "W1", "citing_year": 2024}',
     '{"citing_id": "C1", "cited_id": "W1", "citing_year": 2024}',
@@ -295,6 +297,15 @@ class TestCorrelate:
         assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
         assert f"{scores}:1: invalid JSON: Exceeds the limit" in capsys.readouterr().err
 
+    def test_deep_nesting_score_exit_2(self, corpus, tmp_path, capsys):
+        store_path = tmp_path / "store.jsonl"
+        assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "J1", "value": 0.5}\n' + DEEP + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
+        assert f"{scores}:2: invalid JSON: nested too deeply" in capsys.readouterr().err
+
     def test_invalid_utf8_scores_exit_2(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
         assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
@@ -351,6 +362,13 @@ class TestValidate:
         bad = tmp_path / "bad.jsonl"
         huge = STATEMENTS[0].replace("2024", "9" * 5000)
         bad.write_text(f"{STATEMENTS[0]}\n{huge}\n", encoding="utf-8")
+        assert main(["validate", "--statements", str(bad)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["records"], report["skipped"], report["first_bad_line"]) == (1, 1, 2)
+
+    def test_deep_nesting_is_a_defect(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f"{STATEMENTS[0]}\n{DEEP}\n", encoding="utf-8")
         assert main(["validate", "--statements", str(bad)]) == 2
         report = json.loads(capsys.readouterr().out)
         assert (report["records"], report["skipped"], report["first_bad_line"]) == (1, 1, 2)
@@ -418,6 +436,28 @@ class TestExitCodes:
             assert ingest == [
                 {"event": "ingest", "file": str(bad), "skipped": 1, "first_bad_line": 2}
             ]
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_deep_nesting_line(self, corpus, tmp_path, capsys, mode):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f"{STATEMENTS[0]}\n{DEEP}\n", encoding="utf-8")
+        code = main(aggregate_args(dict(corpus, statements=str(bad)), "--mode", mode))
+        captured = capsys.readouterr()
+        if mode == "strict":
+            assert code == 2
+            assert f"{bad}:2: invalid JSON: nested too deeply" in captured.err
+        else:
+            assert code == 0
+            ingest = [e for e in stderr_events(captured) if e.get("file") == str(bad)]
+            assert ingest == [
+                {"event": "ingest", "file": str(bad), "skipped": 1, "first_bad_line": 2}
+            ]
+
+    def test_deep_nesting_in_store_exit_2(self, tmp_path, capsys):
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_text(DEEP + "\n", encoding="utf-8")
+        assert main(["rank", str(store_path)]) == 2
+        assert f"{store_path}:1: invalid JSON: nested too deeply" in capsys.readouterr().err
 
     def test_huge_integer_in_store_exit_2(self, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
@@ -540,6 +580,7 @@ GARBAGE = [
     b"",
     b"[1, 2]",
     b"Infinity",
+    DEEP.encode(),
 ]
 VALID = {
     "statements": STATEMENTS,

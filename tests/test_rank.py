@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citerank.aggregate import Store
 from citerank.errors import ConfigError, DataError
@@ -13,6 +15,8 @@ from citerank.metrics import EntityTally, SiConfig
 from citerank.rank import (
     BREAKDOWN_CSV_HEADER,
     RANK_CSV_HEADER,
+    FieldBreakdownRow,
+    RankedRow,
     RankSpec,
     correlate,
     export_breakdown,
@@ -339,3 +343,84 @@ class TestExports:
         assert entry["institution"] == "I1"
         assert entry["field"] == "Physics"
         assert float(entry["usi_exact"]) == 5 / 6
+
+
+# -- json exports against json.dumps -----------------------------------------
+
+export_texts = st.text(min_size=1, max_size=12) | st.sampled_from(
+    ['q"uote', "back\\slash", "ctl\x00\x1f\x7f", "ls\u2028ps\u2029", "astral\U0001f600", "pi|pe", "\ud800"]
+)
+tallies = st.builds(EntityTally, *[st.integers(0, 10**12)] * 4)
+# usi lies in [0, 1] and si is a logarithm of a count, so both stay far from
+# the 28 digits a two-decimal Decimal display string can hold
+usi_values = st.floats(0.0, 1.0)
+si_values = st.floats(-1e4, 1e4)
+ranked_rows = st.lists(
+    st.builds(
+        RankedRow,
+        st.integers(1, 10**6),
+        st.builds(EntityKey, st.sampled_from(["journal", "institution", "field"]), export_texts),
+        tallies,
+        usi_values,
+        st.none() | si_values,
+    ),
+    max_size=6,
+)
+breakdown_rows = st.lists(
+    st.builds(
+        FieldBreakdownRow,
+        st.builds(EntityKey, st.just("institution"), export_texts),
+        export_texts,
+        tallies,
+        usi_values,
+        si_values,
+    ),
+    max_size=6,
+)
+
+
+class TestJsonExportMatchesDumps:
+    @settings(deadline=None)
+    @given(ranked_rows)
+    def test_rows(self, rows):
+        payload = [
+            {
+                "kind": row.entity.kind,
+                "id": row.entity.id,
+                "supporting": row.tally.supporting,
+                "mentioning": row.tally.mentioning,
+                "contrasting": row.tally.contrasting,
+                "references": row.tally.references,
+                "usi_exact": row.usi_exact,
+                "si_exact": row.si_exact,
+                "usi_display": row.usi_display,
+                "si_display": row.si_display,
+                "rank": row.rank,
+            }
+            for row in rows
+        ]
+        expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        assert export_rows(rows, "json") == expected
+
+    @settings(deadline=None)
+    @given(breakdown_rows)
+    def test_breakdown(self, rows):
+        payload = [
+            {
+                "institution": row.institution.id,
+                "field": row.field,
+                "supporting": row.tally.supporting,
+                "mentioning": row.tally.mentioning,
+                "contrasting": row.tally.contrasting,
+                "references": row.tally.references,
+                "usi_exact": row.usi_exact,
+                "si_exact": row.si_exact,
+            }
+            for row in rows
+        ]
+        expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        assert export_breakdown(rows, "json") == expected
+
+    def test_empty(self):
+        assert export_rows([], "json") == "[]\n"
+        assert export_breakdown([], "json") == "[]\n"
