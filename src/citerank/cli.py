@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Callable, Iterator, Sequence
 
 from .aggregate import (
@@ -95,26 +95,26 @@ def _to_pos(raw: str) -> int:
     return value
 
 
-def _to_exponent(raw: str) -> float:
+def _to_finite_above(raw: str, bound: int, not_a_number: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"not a number: {raw!r}") from None
-    if not value > 0:
-        raise ValueError(f"must be > 0, got {value}")
+        raise ValueError(not_a_number) from None
+    if not value > bound:
+        raise ValueError(f"must be > {bound}, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
     return value
+
+
+def _to_exponent(raw: str) -> float:
+    return _to_finite_above(raw, 0, f"not a number: {raw!r}")
 
 
 def _to_log_base(raw: str) -> float:
     if raw == "e":
         return math.e
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"must be 'e' or a number, got {raw!r}") from None
-    if not value > 1:
-        raise ValueError(f"must be > 1, got {value}")
-    return value
+    return _to_finite_above(raw, 1, f"must be 'e' or a number, got {raw!r}")
 
 
 def _to_bool(raw: str) -> bool:
@@ -283,6 +283,23 @@ def _diag(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False), file=sys.stderr)
 
 
+def _diag_consistency(store: Store) -> None:
+    flagged = count_statement_excess(store)
+    _diag(
+        {
+            "event": "consistency",
+            "entities_flagged": flagged,
+            "status": "FAILED" if flagged else "ok",
+        }
+    )
+
+
+def _si_config(resolved: dict[str, object]) -> SiConfig:
+    return SiConfig(
+        exponent=float(resolved["exponent"]), log_base=float(resolved["log-base"])
+    )
+
+
 @contextmanager
 def _open_utf8(path: str) -> Iterator[IO[str]]:
     """Open a store or scores file; bytes that are not UTF-8 are a data error."""
@@ -376,14 +393,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         }
     )
     _diag({"event": "aggregate", **store.diagnostics.as_dict()})
-    flagged = count_statement_excess(store)
-    _diag(
-        {
-            "event": "consistency",
-            "entities_flagged": flagged,
-            "status": "FAILED" if flagged else "ok",
-        }
-    )
+    _diag_consistency(store)
     return EXIT_OK
 
 
@@ -396,31 +406,19 @@ def cmd_rank(args: argparse.Namespace) -> int:
         min_valenced=int(resolved["min-valenced"]),
         min_references=int(resolved["min-references"]),
         top_k=None if resolved["top"] is None else int(resolved["top"]),
-        si_config=SiConfig(
-            exponent=float(resolved["exponent"]), log_base=float(resolved["log-base"])
-        ),
+        si_config=_si_config(resolved),
     )
     rows, report = rank_entities(store, spec)
     _write_out(resolved["out"], export_rows(rows, str(resolved["format"])))
-    _diag({"event": "exclusions", **report.as_dict()})
-    flagged = count_statement_excess(store)
-    _diag(
-        {
-            "event": "consistency",
-            "entities_flagged": flagged,
-            "status": "FAILED" if flagged else "ok",
-        }
-    )
+    _diag({"event": "exclusions", **asdict(report)})
+    _diag_consistency(store)
     return EXIT_OK
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTS["fields"])
     store = _load_store_file(args.store)
-    config = SiConfig(
-        exponent=float(resolved["exponent"]), log_base=float(resolved["log-base"])
-    )
-    rows = field_breakdown(store, config)
+    rows = field_breakdown(store, _si_config(resolved))
     _write_out(resolved["out"], export_breakdown(rows, str(resolved["format"])))
     _diag({"event": "breakdown", "rows": len(rows)})
     return EXIT_OK
@@ -430,18 +428,13 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTS["correlate"])
     _require_paths(resolved, ("scores",))
     store = _load_store_file(args.store)
-    spec = RankSpec(
-        metric=str(resolved["by"]),
-        si_config=SiConfig(
-            exponent=float(resolved["exponent"]), log_base=float(resolved["log-base"])
-        ),
-    )
+    spec = RankSpec(metric=str(resolved["by"]), si_config=_si_config(resolved))
     rows, _ = rank_entities(store, spec)
     scores = _read_scores(str(resolved["scores"]))
     result = correlate(rows, scores, metric=str(resolved["by"]))
     _write_out(
         resolved["out"],
-        json.dumps(result.as_dict(), ensure_ascii=False) + "\n",
+        json.dumps(asdict(result), ensure_ascii=False) + "\n",
     )
     return EXIT_OK
 

@@ -53,10 +53,10 @@ class SiConfig:
     log_base: float = 10.0
 
     def __post_init__(self) -> None:
-        if not self.exponent > 0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent!r}")
-        if not self.log_base > 1:
-            raise ValueError(f"log_base must be > 1, got {self.log_base!r}")
+        if not 0 < self.exponent < math.inf:
+            raise ValueError(f"exponent must be finite and > 0, got {self.exponent!r}")
+        if not 1 < self.log_base < math.inf:
+            raise ValueError(f"log_base must be finite and > 1, got {self.log_base!r}")
 
 
 DEFAULT_SI_CONFIG = SiConfig()
@@ -106,6 +106,8 @@ def si(references: int, usi_value: float, config: SiConfig = DEFAULT_SI_CONFIG) 
     Computed in log space as (log10(r) + p*log10(u)) / log10(b), which keeps
     the default base-10 path an exact division by 1.0 and avoids overflow
     for very large reference counts.  None when references or usi is zero.
+    Raises DataError when a huge exponent drives the score past the float
+    range, so no infinite score reaches a ranking or an export.
     """
     if references < 0:
         raise ValueError(f"references must be >= 0, got {references!r}")
@@ -114,7 +116,13 @@ def si(references: int, usi_value: float, config: SiConfig = DEFAULT_SI_CONFIG) 
     if references == 0 or usi_value == 0.0:
         return None
     log10_value = math.log10(references) + config.exponent * math.log10(usi_value)
-    return log10_value / math.log10(config.log_base)
+    value = log10_value / math.log10(config.log_base)
+    if not math.isfinite(value):
+        raise DataError(
+            f"si is not finite ({value!r}) for references={references}, "
+            f"usi={usi_value!r}, exponent={config.exponent!r}, log_base={config.log_base!r}"
+        )
+    return value
 
 
 def implied_references(

@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, fields
-from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, NamedTuple
+from decimal import ROUND_HALF_UP, Context, Decimal
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .aggregate import Store
 from .errors import ConfigError
@@ -41,14 +42,6 @@ __all__ = [
 
 METRICS = ("si", "usi")
 FORMATS = ("csv", "json", "md")
-
-RANK_CSV_HEADER = (
-    "kind,id,supporting,mentioning,contrasting,references,"
-    "usi_exact,si_exact,usi_display,si_display,rank"
-)
-BREAKDOWN_CSV_HEADER = (
-    "institution,field,supporting,mentioning,contrasting,references,usi_exact,si_exact"
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,11 +104,10 @@ class ExclusionReport:
     def total(self) -> int:
         return sum(getattr(self, spec.name) for spec in fields(ExclusionReport))
 
-    def as_dict(self) -> dict:
-        return {spec.name: getattr(self, spec.name) for spec in fields(ExclusionReport)}
-
 
 _CENT = Decimal("0.01")
+# enough digits to quantize the largest finite float to two decimals
+_DISPLAY_CONTEXT = Context(prec=sys.float_info.max_10_exp + 3)
 
 
 def round_display(value: float | None) -> str:
@@ -127,7 +119,9 @@ def round_display(value: float | None) -> str:
     """
     if value is None:
         return ""
-    return str(Decimal(repr(value)).quantize(_CENT, rounding=ROUND_HALF_UP))
+    return str(
+        Decimal(repr(value)).quantize(_CENT, rounding=ROUND_HALF_UP, context=_DISPLAY_CONTEXT)
+    )
 
 
 def rank_entities(
@@ -177,8 +171,7 @@ def rank_entities(
     return rows, report
 
 
-@dataclass(frozen=True, slots=True)
-class FieldBreakdownRow:
+class FieldBreakdownRow(NamedTuple):
     """One (institution, field) cell with a defined impact-weighted score."""
 
     institution: EntityKey
@@ -233,14 +226,6 @@ class CorrelationResult:
     unmatched_rows: int
     unmatched_external: int
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "matched": self.matched,
-            "unmatched_rows": self.unmatched_rows,
-            "unmatched_external": self.unmatched_external,
-        }
-
 
 def correlate(
     rows: list[RankedRow], external: Mapping[str, float], metric: str = "usi"
@@ -276,6 +261,18 @@ def correlate(
 # All three formats are deterministic byte-for-byte for a given row list.
 # csv and json carry exact values (repr round-trips them losslessly); the
 # markdown table is the human view and shows display strings only.
+#
+# Each table names its columns once, and csv and json write the same cells:
+# ``csv.writer`` writes a float as its repr and None as an empty field, and
+# the json encoder writes them as a number and null.
+
+
+class _Table(NamedTuple):
+    columns: tuple[str, ...]
+    cells: Callable[[Any], tuple]
+    md_header: str
+    md_cells: Callable[[Any], tuple[str, ...]]
+
 
 # ``json.dumps`` with an indent always runs the pure-Python encoder.  The
 # exported rows are flat objects, so the C encoder, with the indented item
@@ -284,155 +281,100 @@ def correlate(
 _FLAT_OBJECT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))
 
 
-def _json_array(objects: list[dict]) -> str:
-    """The bytes of ``json.dumps(objects, indent=2, ensure_ascii=False)``
-    and a newline, for a list of nonempty objects of scalar values."""
-    if not objects:
-        return "[]\n"
-    encode = _FLAT_OBJECT_ENCODER.encode
-    members = ["{\n    " + encode(obj)[1:-1] + "\n  }" for obj in objects]
-    return "[\n  " + ",\n  ".join(members) + "\n]\n"
-
-
-def export_rows(rows: list[RankedRow], fmt: str) -> str:
+def _write_table(table: _Table, rows: Sequence, fmt: str) -> str:
     if fmt == "csv":
-        return _rows_csv(rows)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(table.columns)
+        writer.writerows(map(table.cells, rows))
+        return buffer.getvalue()
     if fmt == "json":
-        return _rows_json(rows)
+        # json.dumps(objects, indent=2, ensure_ascii=False) and a newline
+        if not rows:
+            return "[]\n"
+        encode = _FLAT_OBJECT_ENCODER.encode
+        members = [
+            "{\n    " + encode(dict(zip(table.columns, table.cells(row))))[1:-1] + "\n  }"
+            for row in rows
+        ]
+        return "[\n  " + ",\n  ".join(members) + "\n]\n"
     if fmt == "md":
-        return _rows_markdown(rows)
+        lines = [table.md_header]
+        lines += ["| " + " | ".join(table.md_cells(row)) + " |" for row in rows]
+        return "\n".join(lines) + "\n"
     raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
-def _rows_csv(rows: list[RankedRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RANK_CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                row.entity.kind,
-                row.entity.id,
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.tally.references,
-                repr(row.usi_exact),
-                "" if row.si_exact is None else repr(row.si_exact),
-                row.usi_display,
-                row.si_display,
-                row.rank,
-            ]
-        )
-    return buffer.getvalue()
-
-
-def _rows_json(rows: list[RankedRow]) -> str:
-    payload = [
-        {
-            "kind": row.entity.kind,
-            "id": row.entity.id,
-            "supporting": row.tally.supporting,
-            "mentioning": row.tally.mentioning,
-            "contrasting": row.tally.contrasting,
-            "references": row.tally.references,
-            "usi_exact": row.usi_exact,
-            "si_exact": row.si_exact,
-            "usi_display": row.usi_display,
-            "si_display": row.si_display,
-            "rank": row.rank,
-        }
-        for row in rows
-    ]
-    return _json_array(payload)
+def _counts(tally: EntityTally) -> tuple[int, int, int, int]:
+    return (tally.supporting, tally.mentioning, tally.contrasting, tally.references)
 
 
 def _md_escape(text: str) -> str:
-    return text.replace("|", "\\|")
+    """A pipe would end the cell and a line break the row; GitHub-flavored
+    Markdown renders ``<br>`` as a break inside the cell."""
+    text = text.replace("|", "\\|")
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 
-def _rows_markdown(rows: list[RankedRow]) -> str:
-    lines = [
-        "| Entity | Supporting | Mentioning | Contrasting | USI | SI |",
-        "| :-- | --: | --: | --: | --: | --: |",
-    ]
-    for row in rows:
-        lines.append(
-            "| {} | {:,} | {:,} | {:,} | {} | {} |".format(
-                _md_escape(row.entity.id),
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.usi_display,
-                row.si_display or "n/a",
-            )
-        )
-    return "\n".join(lines) + "\n"
+_RANK_TABLE = _Table(
+    columns=(
+        "kind", "id", "supporting", "mentioning", "contrasting", "references",
+        "usi_exact", "si_exact", "usi_display", "si_display", "rank",
+    ),
+    cells=lambda row: (
+        row.entity.kind,
+        row.entity.id,
+        *_counts(row.tally),
+        row.usi_exact,
+        row.si_exact,
+        row.usi_display,
+        row.si_display,
+        row.rank,
+    ),
+    md_header=(
+        "| Entity | Supporting | Mentioning | Contrasting | USI | SI |\n"
+        "| :-- | --: | --: | --: | --: | --: |"
+    ),
+    md_cells=lambda row: (
+        _md_escape(row.entity.id),
+        *(f"{count:,}" for count in _counts(row.tally)[:3]),
+        row.usi_display,
+        row.si_display or "n/a",
+    ),
+)
+
+_BREAKDOWN_TABLE = _Table(
+    columns=(
+        "institution", "field", "supporting", "mentioning", "contrasting",
+        "references", "usi_exact", "si_exact",
+    ),
+    cells=lambda row: (
+        row.institution.id,
+        row.field,
+        *_counts(row.tally),
+        row.usi_exact,
+        row.si_exact,
+    ),
+    md_header=(
+        "| Institution | Field | Supporting | Mentioning | Contrasting | References | USI | SI |\n"
+        "| :-- | :-- | --: | --: | --: | --: | --: | --: |"
+    ),
+    md_cells=lambda row: (
+        _md_escape(row.institution.id),
+        _md_escape(row.field),
+        *(f"{count:,}" for count in _counts(row.tally)),
+        round_display(row.usi_exact),
+        round_display(row.si_exact),
+    ),
+)
+
+RANK_CSV_HEADER = ",".join(_RANK_TABLE.columns)
+BREAKDOWN_CSV_HEADER = ",".join(_BREAKDOWN_TABLE.columns)
+
+
+def export_rows(rows: list[RankedRow], fmt: str) -> str:
+    return _write_table(_RANK_TABLE, rows, fmt)
 
 
 def export_breakdown(rows: list[FieldBreakdownRow], fmt: str) -> str:
-    if fmt == "csv":
-        return _breakdown_csv(rows)
-    if fmt == "json":
-        return _breakdown_json(rows)
-    if fmt == "md":
-        return _breakdown_markdown(rows)
-    raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-
-
-def _breakdown_csv(rows: list[FieldBreakdownRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(BREAKDOWN_CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                row.institution.id,
-                row.field,
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.tally.references,
-                repr(row.usi_exact),
-                repr(row.si_exact),
-            ]
-        )
-    return buffer.getvalue()
-
-
-def _breakdown_json(rows: list[FieldBreakdownRow]) -> str:
-    payload = [
-        {
-            "institution": row.institution.id,
-            "field": row.field,
-            "supporting": row.tally.supporting,
-            "mentioning": row.tally.mentioning,
-            "contrasting": row.tally.contrasting,
-            "references": row.tally.references,
-            "usi_exact": row.usi_exact,
-            "si_exact": row.si_exact,
-        }
-        for row in rows
-    ]
-    return _json_array(payload)
-
-
-def _breakdown_markdown(rows: list[FieldBreakdownRow]) -> str:
-    lines = [
-        "| Institution | Field | Supporting | Mentioning | Contrasting | References | USI | SI |",
-        "| :-- | :-- | --: | --: | --: | --: | --: | --: |",
-    ]
-    for row in rows:
-        lines.append(
-            "| {} | {} | {:,} | {:,} | {:,} | {:,} | {} | {} |".format(
-                _md_escape(row.institution.id),
-                _md_escape(row.field),
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.tally.references,
-                round_display(row.usi_exact),
-                round_display(row.si_exact),
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _write_table(_BREAKDOWN_TABLE, rows, fmt)

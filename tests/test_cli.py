@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citerank.aggregate import load_store
+from citerank.aggregate import Store, dump_store, load_store
 from citerank.cli import main
 from citerank.linking import EntityKey
-from citerank.rank import BREAKDOWN_CSV_HEADER
+from citerank.metrics import EntityTally
+from citerank.rank import BREAKDOWN_CSV_HEADER, FORMATS
 
 PUBS = [
     '{"id": "W1", "journal_id": "J1", "field": "Physics"}',
@@ -400,6 +401,16 @@ class TestExitCodes:
         assert main(["rank", str(store_path), "--log-base", "1"]) == 1
         assert main(["rank", str(store_path), "--log-base", "banana"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--exponent", "inf"), ("--exponent", "1e999"), ("--log-base", "inf")]
+    )
+    def test_non_finite_score_config_rejected(self, corpus, tmp_path, capsys, flag, value):
+        store_path = tmp_path / "store.jsonl"
+        assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
+        capsys.readouterr()
+        assert main(["rank", str(store_path), flag, value]) == 1
+        assert f"bad value for {flag}: must be finite, got inf" in capsys.readouterr().err
+
     def test_empty_window_rejected(self, corpus, capsys):
         assert main(aggregate_args(corpus, "--from-year", "2025", "--to-year", "2024")) == 1
 
@@ -495,6 +506,32 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert main(["rank", "--help"]) == 0
+
+
+class TestExtremeScores:
+    @pytest.fixture
+    def store_path(self, tmp_path):
+        # A's usi is 0.001, whose log times 1e308 leaves the float range
+        path = tmp_path / "store.jsonl"
+        tallies = {
+            EntityKey("institution", "A", "Physics"): EntityTally(1, 0, 999, 1000),
+            EntityKey("institution", "B", "Physics"): EntityTally(5, 1, 5, 40),
+        }
+        path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_scores_past_28_digits_display(self, store_path, capsys, fmt):
+        assert main(["rank", store_path, "--exponent", "1e30", "--format", fmt]) == 0
+        assert "30102999566398" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", ["rank", "fields"])
+    def test_infinite_score_exit_2(self, store_path, capsys, command, fmt):
+        assert main([command, store_path, "--exponent", "1e308", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: si is not finite (-inf)" in captured.err
 
 
 class TestConfigFile:

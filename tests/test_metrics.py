@@ -77,6 +77,19 @@ class TestSi:
         with pytest.raises(ValueError):
             SiConfig(log_base=0.5)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_config_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            SiConfig(exponent=value)
+        with pytest.raises(ValueError, match="finite"):
+            SiConfig(log_base=value)
+
+    def test_score_past_the_float_range_is_a_data_error(self):
+        # log10(0.001) * 1e308 is -3e308, past the largest float
+        with pytest.raises(DataError, match="si is not finite"):
+            si(1000, 0.001, SiConfig(exponent=1e308))
+        assert si(1000, 0.5, SiConfig(exponent=1e308)) < -1e307
+
     def test_exponent_changes_discount(self):
         # a harsher exponent must discount a contested entity more
         soft = si(1000, 0.5, SiConfig(exponent=1))

@@ -53,6 +53,10 @@ class TestRoundDisplay:
             (-1.785, "-1.79"),  # away from zero on the negative side too
             (6.244999, "6.24"),
             (None, ""),
+            # past the 28 digits of the default decimal context
+            (1e30, "1" + "0" * 30 + ".00"),
+            (-1.7976931348623157e308, "-17976931348623157" + "0" * 292 + ".00"),
+            (5e-324, "0.00"),
         ],
     )
     def test_cases(self, value, expected):
@@ -187,6 +191,14 @@ class TestRankEntities:
         with pytest.raises(ConfigError):
             RankSpec(min_valenced=-1)
 
+    def test_infinite_si_is_a_data_error(self):
+        # log10(1/1000) * 1e308 leaves the float range: -inf, never a row
+        store = journal_store({"A": (1, 0, 999, 1000), "B": (5, 0, 5, 40)})
+        spec = RankSpec(si_config=SiConfig(exponent=1e308))
+        for metric in ("si", "usi"):
+            with pytest.raises(DataError, match="si is not finite"):
+                rank_entities(store, RankSpec(metric=metric, si_config=spec.si_config))
+
     def test_custom_si_config_changes_scores_not_contract(self):
         store = journal_store({"A": (90, 0, 10, 1000)})
         natural = rank_entities(
@@ -231,6 +243,12 @@ class TestFieldBreakdown:
         store.tallies[EntityKey("institution", "I4")] = EntityTally(1, 0, 0, 1)
         with pytest.raises(ConfigError):
             field_breakdown(store)
+
+    def test_infinite_si_is_a_data_error(self):
+        store = self.make_store()
+        store.tallies[EntityKey("institution", "I4", "Maths")] = EntityTally(1, 0, 999, 1000)
+        with pytest.raises(DataError, match="si is not finite"):
+            field_breakdown(store, SiConfig(exponent=1e308))
 
     def test_empty_store_gives_header_only(self):
         # an empty per-field store cannot be told from any other empty store
@@ -320,6 +338,24 @@ class TestExports:
         assert "1,234" in text  # thousands separators in the human view
         assert "Plain\\|Pipes" in text  # pipes escaped so the table stays a table
 
+    def test_markdown_line_breaks_stay_in_their_row(self):
+        store = journal_store({"J\nX": (3, 0, 1, 50), "K\r\nY": (2, 0, 1, 50), "L\rZ": (1, 0, 1, 50)})
+        text = export_rows(rank_entities(store, RankSpec())[0], "md")
+        assert text.split("\n")[2:] == [
+            "| J<br>X | 3 | 0 | 1 | 0.75 | 1.45 |",
+            "| K<br>Y | 2 | 0 | 1 | 0.67 | 1.35 |",
+            "| L<br>Z | 1 | 0 | 1 | 0.50 | 1.10 |",
+            "",
+        ]
+
+    def test_breakdown_markdown_line_breaks_stay_in_their_row(self):
+        store = store_of(
+            {EntityKey("institution", "I\r1", "Phys\nics"): EntityTally(5, 0, 1, 50)},
+            kind="institution",
+        )
+        text = export_breakdown(field_breakdown(store), "md")
+        assert text.split("\n")[2:] == ["| I<br>1 | Phys<br>ics | 5 | 0 | 1 | 50 | 0.83 | 1.54 |", ""]
+
     def test_markdown_deterministic(self):
         assert export_rows(self.rows(), "md") == export_rows(self.rows(), "md")
 
@@ -345,16 +381,26 @@ class TestExports:
         assert float(entry["usi_exact"]) == 5 / 6
 
 
-# -- json exports against json.dumps -----------------------------------------
+# -- exports against literal oracles ------------------------------------------
 
 export_texts = st.text(min_size=1, max_size=12) | st.sampled_from(
-    ['q"uote', "back\\slash", "ctl\x00\x1f\x7f", "ls\u2028ps\u2029", "astral\U0001f600", "pi|pe", "\ud800"]
+    [
+        'q"uote',
+        "back\\slash",
+        "ctl\x00\x1f\x7f",
+        "ls\u2028ps\u2029",
+        "astral\U0001f600",
+        "pi|pe",
+        "\ud800",
+        "com,ma",
+        "lf\ncr\rcrlf\r\n",
+    ]
 )
 tallies = st.builds(EntityTally, *[st.integers(0, 10**12)] * 4)
-# usi lies in [0, 1] and si is a logarithm of a count, so both stay far from
-# the 28 digits a two-decimal Decimal display string can hold
 usi_values = st.floats(0.0, 1.0)
-si_values = st.floats(-1e4, 1e4)
+# a huge --exponent drives si to any finite float; the display string of
+# each must still be exact
+si_values = st.floats(allow_nan=False, allow_infinity=False)
 ranked_rows = st.lists(
     st.builds(
         RankedRow,
@@ -424,3 +470,126 @@ class TestJsonExportMatchesDumps:
     def test_empty(self):
         assert export_rows([], "json") == "[]\n"
         assert export_breakdown([], "json") == "[]\n"
+
+
+# The csv and markdown writers as they were before the exports shared one
+# table writer, kept as oracles.  The one edit: markdown cells also write
+# line breaks as <br>, so every row stays on one line.
+
+ORACLE_RANK_CSV_HEADER = (
+    "kind,id,supporting,mentioning,contrasting,references,"
+    "usi_exact,si_exact,usi_display,si_display,rank"
+)
+ORACLE_BREAKDOWN_CSV_HEADER = (
+    "institution,field,supporting,mentioning,contrasting,references,usi_exact,si_exact"
+)
+
+
+def oracle_md_escape(text):
+    text = text.replace("|", "\\|")
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+
+def oracle_rows_csv(rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(ORACLE_RANK_CSV_HEADER.split(","))
+    for row in rows:
+        writer.writerow(
+            [
+                row.entity.kind,
+                row.entity.id,
+                row.tally.supporting,
+                row.tally.mentioning,
+                row.tally.contrasting,
+                row.tally.references,
+                repr(row.usi_exact),
+                "" if row.si_exact is None else repr(row.si_exact),
+                row.usi_display,
+                row.si_display,
+                row.rank,
+            ]
+        )
+    return buffer.getvalue()
+
+
+def oracle_rows_markdown(rows):
+    lines = [
+        "| Entity | Supporting | Mentioning | Contrasting | USI | SI |",
+        "| :-- | --: | --: | --: | --: | --: |",
+    ]
+    for row in rows:
+        lines.append(
+            "| {} | {:,} | {:,} | {:,} | {} | {} |".format(
+                oracle_md_escape(row.entity.id),
+                row.tally.supporting,
+                row.tally.mentioning,
+                row.tally.contrasting,
+                row.usi_display,
+                row.si_display or "n/a",
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_breakdown_csv(rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(ORACLE_BREAKDOWN_CSV_HEADER.split(","))
+    for row in rows:
+        writer.writerow(
+            [
+                row.institution.id,
+                row.field,
+                row.tally.supporting,
+                row.tally.mentioning,
+                row.tally.contrasting,
+                row.tally.references,
+                repr(row.usi_exact),
+                repr(row.si_exact),
+            ]
+        )
+    return buffer.getvalue()
+
+
+def oracle_breakdown_markdown(rows):
+    lines = [
+        "| Institution | Field | Supporting | Mentioning | Contrasting | References | USI | SI |",
+        "| :-- | :-- | --: | --: | --: | --: | --: | --: |",
+    ]
+    for row in rows:
+        lines.append(
+            "| {} | {} | {:,} | {:,} | {:,} | {:,} | {} | {} |".format(
+                oracle_md_escape(row.institution.id),
+                oracle_md_escape(row.field),
+                row.tally.supporting,
+                row.tally.mentioning,
+                row.tally.contrasting,
+                row.tally.references,
+                round_display(row.usi_exact),
+                round_display(row.si_exact),
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvAndMarkdownExportsMatchOracles:
+    @settings(deadline=None)
+    @given(ranked_rows)
+    def test_rows(self, rows):
+        assert export_rows(rows, "csv") == oracle_rows_csv(rows)
+        text = export_rows(rows, "md")
+        assert text == oracle_rows_markdown(rows)
+        assert text.count("\n") == len(rows) + 2
+
+    @settings(deadline=None)
+    @given(breakdown_rows)
+    def test_breakdown(self, rows):
+        assert export_breakdown(rows, "csv") == oracle_breakdown_csv(rows)
+        text = export_breakdown(rows, "md")
+        assert text == oracle_breakdown_markdown(rows)
+        assert text.count("\n") == len(rows) + 2
+
+    def test_headers_are_the_oracle_headers(self):
+        assert RANK_CSV_HEADER == ORACLE_RANK_CSV_HEADER
+        assert BREAKDOWN_CSV_HEADER == ORACLE_BREAKDOWN_CSV_HEADER
