@@ -30,7 +30,7 @@ from .ingest import (
     parse_statement,
     stream,
 )
-from .linking import ENTITY_KINDS, EntityKey, LinkTables, build_link_tables, resolve
+from .linking import ENTITY_KINDS, EntityKey, LinkTables, build_link_tables
 from .metrics import (
     DEFAULT_SI_CONFIG,
     EntityTally,
@@ -99,7 +99,6 @@ __all__ = [
     "parse_statement",
     "pearson",
     "rank_entities",
-    "resolve",
     "round_display",
     "si",
     "store_records",

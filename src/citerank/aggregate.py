@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigError, DataError, ParseError
 from .ingest import ReferenceEvent, StatementRecord, _decode_line
-from .linking import ENTITY_KINDS, EntityKey, LinkTables, resolve
+from .linking import ENTITY_KINDS, EntityKey, LinkTables
 from .metrics import EntityTally
 
 __all__ = [
@@ -44,9 +44,6 @@ class Window:
             raise ConfigError(
                 f"window is empty: from_year {self.from_year} > to_year {self.to_year}"
             )
-
-    def contains(self, year: int) -> bool:
-        return self.from_year <= year <= self.to_year
 
 
 @dataclass(slots=True)
@@ -171,34 +168,34 @@ def _credited_tallies(
     """A zero tally per linked entity, and a map from each resolvable
     publication id to the tallies a citation of it credits.
 
-    Publications credited to the same set of entities share one tuple, so
-    the map costs one reference per publication.
+    A journal or field publication credits its one entity; an institution
+    publication credits every affiliated institution in full, and one with
+    an empty institution set is unresolvable.  With ``by_field`` each key
+    carries the publication's field label, and a publication without one is
+    unresolvable.  Publications credited to the same set of entities share
+    one tuple, so the map costs one reference per publication.
     """
-    linked = {
-        "journal": tables.pub_to_journal,
-        "field": tables.pub_to_field,
-        "institution": tables.pub_to_institutions,
-    }[kind]
     labels = tables.pub_to_field
+    if kind == "institution":
+        linked = tables.pub_to_institutions.items()
+    else:
+        singles = tables.pub_to_journal if kind == "journal" else tables.pub_to_field
+        linked = ((pub_id, (name,)) for pub_id, name in singles.items())
     tallies: dict[EntityKey, EntityTally] = {}
-    shared: dict[frozenset[EntityKey], tuple[EntityTally, ...]] = {}
+    shared: dict[tuple[Iterable[str], str | None], tuple[EntityTally, ...]] = {}
     credited: dict[str, tuple[EntityTally, ...]] = {}
-    for pub_id in linked:
-        keys = resolve(pub_id, kind, tables)
-        if by_field and keys:
-            label = labels.get(pub_id)
-            if label is None:
-                continue
-            keys = {EntityKey(key.kind, key.id, label) for key in keys}
-        if not keys:
+    for pub_id, names in linked:
+        label = labels.get(pub_id) if by_field else None
+        if not names or (by_field and label is None):
             continue
-        key_set = frozenset(keys)
-        group = shared.get(key_set)
+        # keys are built once per distinct (names, label) group, not per publication
+        group = shared.get((names, label))
         if group is None:
-            for key in key_set:
+            keys = [EntityKey(kind, name, label) for name in names]
+            for key in keys:
                 if key not in tallies:
                     tallies[key] = EntityTally()
-            group = shared[key_set] = tuple(tallies[key] for key in key_set)
+            group = shared[names, label] = tuple(tallies[key] for key in keys)
         credited[pub_id] = group
     return tallies, credited
 
@@ -286,19 +283,23 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
         label = row.get("field")
         if label is not None and (type(label) is not str or not label):
             raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
-        # JSON yields exact types, so ``type(x) is int`` excludes bools
+        # JSON yields exact types, so ``type(x) is int`` excludes bools;
+        # EntityTally rejects a negative counter
         supporting = row.get("supporting")
         mentioning = row.get("mentioning")
         contrasting = row.get("contrasting")
         references = row.get("references")
         if not (
-            type(supporting) is int and supporting >= 0
-            and type(mentioning) is int and mentioning >= 0
-            and type(contrasting) is int and contrasting >= 0
-            and type(references) is int and references >= 0
+            type(supporting) is int
+            and type(mentioning) is int
+            and type(contrasting) is int
+            and type(references) is int
         ):
             raise _counter_error(row, path, line_no)
-        tally = EntityTally(supporting, mentioning, contrasting, references)
+        try:
+            tally = EntityTally(supporting, mentioning, contrasting, references)
+        except ValueError:
+            raise _counter_error(row, path, line_no) from None
         if tallies.setdefault(EntityKey(kind, entity_id, label), tally) is not tally:
             where = "" if label is None else f" in field {label!r}"
             raise DataError(
@@ -325,7 +326,7 @@ def _load_diagnostics(row: dict, path: str, line_no: int) -> Diagnostics:
     diag = Diagnostics()
     for spec in fields(Diagnostics):
         value = row.get(spec.name, 0)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise DataError(
                 f"{path}:{line_no}: diagnostics {spec.name!r} must be a "
                 f"nonnegative integer, got {value!r}"

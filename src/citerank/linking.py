@@ -2,39 +2,34 @@
 
 A cited publication maps to at most one journal, at most one field, and any
 number of institutions.  Multi-institution papers credit every institution
-in full (full counting, no fractionalization), which is why ``resolve``
-returns a set of keys rather than a single key.
+in full (full counting, no fractionalization), so a citation of one
+publication can credit a set of entities rather than a single one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import ConfigError
 from .ingest import AffiliationRecord, PublicationRecord
 
-__all__ = ["ENTITY_KINDS", "EntityKey", "LinkTables", "build_link_tables", "resolve"]
+__all__ = ["ENTITY_KINDS", "EntityKey", "LinkTables", "build_link_tables"]
 
 ENTITY_KINDS = ("journal", "institution", "field")
 
 
-@dataclass(frozen=True, slots=True)
-class EntityKey:
+class EntityKey(NamedTuple):
     """Identity of a rankable entity.
 
     ``field`` stays None except in per-field grouping, where tallies are
-    kept per (entity, field label) pair.  Not ordered on purpose: sort
-    callers spell out their key so the ordering is visible where it matters.
+    kept per (entity, field label) pair.  ``kind`` is one of
+    ``ENTITY_KINDS``; it is checked where a store is built or loaded, not
+    here.
     """
 
     kind: str
     id: str
     field: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ENTITY_KINDS:
-            raise ValueError(f"kind must be one of {ENTITY_KINDS}, got {self.kind!r}")
 
 
 @dataclass(slots=True)
@@ -93,22 +88,3 @@ def build_link_tables(
         affiliation_overwrites=affiliation_overwrites,
     )
 
-
-def resolve(cited_id: str, kind: str, tables: LinkTables) -> set[EntityKey]:
-    """Entities credited when ``cited_id`` is cited, empty if unresolvable.
-
-    Journals and fields yield zero or one key; institutions yield one key
-    per affiliated institution.
-    """
-    if kind == "journal":
-        journal = tables.pub_to_journal.get(cited_id)
-        return set() if journal is None else {EntityKey("journal", journal)}
-    if kind == "field":
-        label = tables.pub_to_field.get(cited_id)
-        return set() if label is None else {EntityKey("field", label)}
-    if kind == "institution":
-        institutions = tables.pub_to_institutions.get(cited_id)
-        if not institutions:
-            return set()
-        return {EntityKey("institution", inst) for inst in institutions}
-    raise ConfigError(f"unknown entity kind {kind!r}")

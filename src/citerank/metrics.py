@@ -72,9 +72,8 @@ class EntityTally:
     references: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("supporting", "mentioning", "contrasting", "references"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if min(self.supporting, self.mentioning, self.contrasting, self.references) < 0:
+            raise ValueError(f"counters must be >= 0, got {self!r}")
 
     @property
     def valenced(self) -> int:
@@ -166,10 +165,16 @@ def hs_index(supporting_counts: Iterable[int]) -> int:
 def pearson(pairs: Sequence[tuple[float, float]]) -> float:
     """Sample Pearson correlation of (x, y) pairs, clamped to [-1, 1].
 
-    Two-pass formula: means first, then centered products.  Raises DataError
-    for fewer than two pairs, for a coordinate that is nan or infinite, or
-    when either coordinate has zero variance, because r is undefined there
-    and a silent nan would poison reports (the clamp would turn it into 1).
+    Two-pass formula: means first, then centered products.  Each coordinate
+    is first scaled by the power of two that brings its largest magnitude
+    into [0.5, 1), so no sum overflows or underflows for any finite input;
+    r does not change under that scaling, and power-of-two scaling is exact,
+    so inputs of ordinary magnitude give the same bits as unscaled sums.
+    Raises DataError for fewer than two pairs, for a coordinate that is nan
+    or infinite, or when either coordinate is constant, because r is
+    undefined there and a silent nan would poison reports (the clamp would
+    turn it into 1).  Constancy is tested on the values themselves: a
+    rounded mean can leave a constant coordinate with nonzero centered sums.
     """
     points = list(pairs)
     n = len(points)
@@ -178,17 +183,30 @@ def pearson(pairs: Sequence[tuple[float, float]]) -> float:
     for x, y in points:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DataError(f"correlation undefined: non-finite pair ({x!r}, {y!r})")
-    mean_x = sum(x for x, _ in points) / n
-    mean_y = sum(y for _, y in points) / n
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        raise DataError("correlation undefined: a coordinate has zero variance")
+    xs = _scaled(xs)
+    ys = _scaled(ys)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
     sxx = syy = sxy = 0.0
-    for x, y in points:
+    for x, y in zip(xs, ys):
         dx = x - mean_x
         dy = y - mean_y
         sxx += dx * dx
         syy += dy * dy
         sxy += dx * dy
-    if sxx == 0.0 or syy == 0.0:
-        raise DataError("correlation undefined: a coordinate has zero variance")
+    # after scaling, two distinct values differ by at least 2**-54, so both
+    # sums of squares are positive
     r = sxy / math.sqrt(sxx * syy)
     # float rounding can push |r| a hair past 1; the mathematical value cannot be
     return max(-1.0, min(1.0, r))
+
+
+def _scaled(values: list[float]) -> list[float]:
+    """``values`` times the power of two that brings the largest magnitude
+    into [0.5, 1)."""
+    shift = -math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, shift) for v in values]

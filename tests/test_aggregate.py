@@ -43,6 +43,7 @@ def make_tables():
     affils = [
         AffiliationRecord("W1", frozenset({"I1", "I2"})),
         AffiliationRecord("W2", frozenset({"I1"})),
+        AffiliationRecord("W3", frozenset()),
     ]
     return build_link_tables(pubs, affils)
 
@@ -55,24 +56,30 @@ def event(citing="C1", cited="W1", year=2024):
     return ReferenceEvent(citing, cited, year)
 
 
+def fold(statements=(), events=(), kind="journal", window=WINDOW, by_field=False):
+    return build_store(statements, events, make_tables(), window, kind, by_field=by_field)
+
+
 class TestWindow:
-    def test_contains_is_inclusive(self):
-        window = Window(2020, 2024)
-        assert window.contains(2020)
-        assert window.contains(2024)
-        assert not window.contains(2019)
-        assert not window.contains(2025)
+    def test_bounds_are_inclusive(self):
+        citing_years = (2019, 2020, 2024, 2025)
+        store = fold(
+            [statement(year=y) for y in citing_years],
+            [event(citing=f"C{y}", year=y) for y in citing_years],
+            window=Window(2020, 2024),
+        )
+        diag = store.diagnostics
+        assert (diag.statements_counted, diag.statements_out_of_window) == (2, 2)
+        assert (diag.events_counted, diag.events_out_of_window) == (2, 2)
+        assert store.tallies[EntityKey("journal", "J1")].references == 2
 
     def test_single_year(self):
-        assert Window(2024, 2024).contains(2024)
+        store = fold([statement(year=2024)], [event(year=2024)], window=Window(2024, 2024))
+        assert store.diagnostics.statements_counted == store.diagnostics.events_counted == 1
 
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):
             Window(2025, 2024)
-
-
-def fold(statements=(), events=(), kind="journal", window=WINDOW, by_field=False):
-    return build_store(statements, events, make_tables(), window, kind, by_field=by_field)
 
 
 class TestStatements:
@@ -98,13 +105,28 @@ class TestStatements:
         assert store.tallies == {}
         assert store.diagnostics.statements_out_of_window == 2
 
+    @pytest.mark.parametrize("kind", ["journal", "field"])
+    def test_credited_entity(self, kind):
+        store = fold([statement(cited="W1")], kind=kind)
+        name = {"journal": "J1", "field": "Physics"}[kind]
+        assert list(store.tallies) == [EntityKey(kind, name)]
+
     def test_unresolved(self):
-        store = fold([statement(cited="W404")])
-        assert store.diagnostics.statements_unresolved == 1
-        assert store.tallies == {}
+        # W404 is linked to nothing; W3 has a journal but no field and an
+        # empty institution set
+        for kind, cited in (
+            ("journal", "W404"),
+            ("field", "W3"),
+            ("institution", "W3"),
+            ("institution", "W404"),
+        ):
+            store = fold([statement(cited=cited)], kind=kind)
+            assert store.diagnostics.statements_unresolved == 1
+            assert store.tallies == {}
 
     def test_full_counting_across_institutions(self):
         store = fold([statement(cited="W1")], kind="institution")
+        assert set(store.tallies) == {EntityKey("institution", "I1"), EntityKey("institution", "I2")}
         assert store.tallies[EntityKey("institution", "I1")].supporting == 1
         assert store.tallies[EntityKey("institution", "I2")].supporting == 1
         # one statement, counted once, credited twice
@@ -155,6 +177,12 @@ class TestReferences:
             + diag.events_duplicate
             == diag.events_seen
         )
+
+
+class TestUnknownKind:
+    def test_rejected(self):
+        with pytest.raises(ConfigError, match="kind must be one of"):
+            fold([statement()], kind="author")
 
 
 class TestUnknownStance:

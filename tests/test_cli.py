@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citerank
 from citerank.aggregate import Store, dump_store, load_store
 from citerank.cli import main
 from citerank.linking import EntityKey
@@ -534,6 +539,45 @@ class TestExtremeScores:
         assert "error: si is not finite (-inf)" in captured.err
 
 
+class TestHashSeed:
+    def test_same_bytes_under_any_hash_seed(self, corpus, tmp_path):
+        # keys and institution sets are hashed; no set order may reach the output
+        institutions = ", ".join(f'"I{i}"' for i in range(1, 9))
+        affiliations = tmp_path / "affiliations.jsonl"
+        affiliations.write_text(
+            '{"pub_id": "W1", "institution_ids": [%s]}\n' % institutions
+            + AFFILS[1] + "\n" + '{"pub_id": "W3", "institution_ids": ["I3", "I9"]}\nnot json\n',
+            encoding="utf-8",
+        )
+        corpus["affiliations"] = str(affiliations)
+        aggregate = aggregate_args(corpus, "--group-by-field", "--mode", "lenient")
+        aggregate[aggregate.index("--entity") + 1] = "institution"
+        commands = [
+            [*aggregate, "--out", "store.jsonl"],
+            ["rank", "store.jsonl", "--format", "json"],
+            ["fields", "store.jsonl", "--format", "csv"],
+        ]
+        src = str(Path(citerank.__file__).resolve().parent.parent)
+        results = []
+        for seed in ("0", "1"):
+            cwd = tmp_path / f"seed{seed}"
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "citerank.cli", *args],
+                    cwd=cwd, env=env, capture_output=True, timeout=120,
+                )
+                for args in commands
+            ]
+            assert [run.returncode for run in runs] == [0, 0, 0], runs
+            results.append(
+                ([(run.stdout, run.stderr) for run in runs], (cwd / "store.jsonl").read_bytes())
+            )
+        assert results[0] == results[1]
+        assert b"I8" in results[0][1]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
@@ -673,3 +717,99 @@ class TestFuzz:
         for report in map(json.loads, out.getvalue().splitlines()):
             name = next(n for n, p in paths.items() if p == report["file"])
             assert report["records"] + report["skipped"] == len(files[name])
+
+
+# -- fuzz: garbage stores and scores through the read-side commands --------
+
+COUNTERS = ("supporting", "mentioning", "contrasting", "references")
+IDS = ["E1", "E2", "E3", "E4", "E5", "x|y\n", 'q"\\']
+# values that make one member of a row wrong; None drops the member
+SPOILERS = {
+    "kind": ["city", "", 3, None, "journal", "field", "diagnostics"],
+    "id": ["", 7, None],
+    "field": ["", 1],
+    "value": ["1", True, [], None],
+    **{name: [-1, 1.5, 2.0, True, "3", None] for name in COUNTERS},
+}
+GARBAGE_LINES = st.sampled_from(
+    [
+        b'{"kind": "journal", "id": "E1", "supporting": ' + b"9" * 5000 + b"}",
+        b'{"kind": "diagnostics"}',
+        b'{"kind": "diagnostics", "events_seen": -1}',
+        b'{"kind": "diagnostics", "statements_seen": true}',
+        b'{"kind": [1]}',
+        b'{"id": "E1", "value": NaN}',
+        b'{"id": "E1", "value": 1e999}',
+        b"\xef\xbb\xbf" + b'{"kind": "diagnostics"}',
+        b"\xff\xfe",
+        b"",
+        b"[1, 2]",
+        b"NaN",
+        DEEP.encode(),
+    ]
+) | st.binary(max_size=30).map(lambda raw: raw.replace(b"\n", b""))
+
+
+@st.composite
+def spoiled_rows(draw, good):
+    row = dict(draw(st.sampled_from(good)))
+    member = draw(st.sampled_from(sorted(row)))
+    value = draw(st.sampled_from(SPOILERS[member]))
+    if value is None:
+        del row[member]
+    else:
+        row[member] = value
+    return json.dumps(row).encode()
+
+
+@st.composite
+def read_side_files(draw):
+    """A store file and a scores file for it.  Each is valid rows, into
+    which zero to two bad lines are put: a row with one member spoiled (a
+    counter huge, a float, a bool or negative; an empty id; an unknown or
+    other kind), a repeated row, a row after a diagnostics row, a BOM,
+    invalid UTF-8, deep nesting or random bytes."""
+    kind = draw(st.sampled_from(["journal", "institution", "field"]))
+    labels = draw(st.booleans())
+    rows = []
+    for entity_id in draw(st.lists(st.sampled_from(IDS), max_size=6, unique=True)):
+        row = {"kind": kind, "id": entity_id}
+        if labels:
+            row["field"] = draw(st.sampled_from(["Physics", "Maths"]))
+        for name in COUNTERS:
+            row[name] = draw(st.integers(0, 40) | st.just(10**400))
+        rows.append(row)
+    value = st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False)
+    scores = [{"id": row["id"], "value": draw(value)} for row in rows] + [{"id": "E9", "value": 1.0}]
+    files = []
+    for good in (rows, scores):
+        lines = [json.dumps(obj).encode() for obj in good]
+        bad = GARBAGE_LINES
+        if good:
+            bad = bad | st.just(lines[0]) | spoiled_rows(good)
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+        files.append(lines)
+    if draw(st.integers(0, 5)):
+        files[0].append(b'{"kind": "diagnostics", "statements_seen": 3}')
+    return files
+
+
+class TestReadSideFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(read_side_files())
+    def test_main_never_crashes(self, tmp_path_factory, files):
+        base = tmp_path_factory.mktemp("readfuzz")
+        store_path, scores_path = base / "store.jsonl", base / "scores.jsonl"
+        for path, lines in zip((store_path, scores_path), files):
+            path.write_bytes(b"".join(line + b"\n" for line in lines))
+        store, scores = str(store_path), str(scores_path)
+        runs = [
+            *(["rank", store, "--by", by, "--format", fmt] for by in ("si", "usi") for fmt in FORMATS),
+            *(["fields", store, "--format", fmt] for fmt in FORMATS),
+            *(["correlate", store, "--scores", scores, "--by", by] for by in ("si", "usi")),
+        ]
+        for args in runs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(args)
+            assert code in (0, 1, 2, 3), args

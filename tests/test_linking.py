@@ -1,8 +1,7 @@
 import pytest
 
-from citerank.errors import ConfigError
 from citerank.ingest import AffiliationRecord, PublicationRecord
-from citerank.linking import EntityKey, build_link_tables, resolve
+from citerank.linking import EntityKey, build_link_tables
 
 
 def make_tables():
@@ -73,41 +72,7 @@ class TestBuildLinkTables:
         assert tables.pub_to_journal["W1"] == "J3"
 
 
-class TestResolve:
-    def test_journal(self):
-        tables = make_tables()
-        assert resolve("W1", "journal", tables) == {EntityKey("journal", "J1")}
-        assert resolve("W3", "journal", tables) == set()
-        assert resolve("W404", "journal", tables) == set()
-
-    def test_field(self):
-        tables = make_tables()
-        assert resolve("W1", "field", tables) == {EntityKey("field", "Physics")}
-        assert resolve("W2", "field", tables) == set()
-
-    def test_institution_full_counting(self):
-        # every affiliated institution gets full credit, no fractionalization
-        tables = make_tables()
-        assert resolve("W1", "institution", tables) == {
-            EntityKey("institution", "I1"),
-            EntityKey("institution", "I2"),
-        }
-        assert resolve("W3", "institution", tables) == set()
-
-    def test_empty_institution_set_is_unresolvable(self):
-        tables = build_link_tables([], [AffiliationRecord("W1", frozenset())])
-        assert resolve("W1", "institution", tables) == set()
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            resolve("W1", "author", make_tables())
-
-
 class TestEntityKey:
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            EntityKey("country", "US")
-
     def test_hashable_and_frozen(self):
         key = EntityKey("journal", "J1")
         assert key in {key}

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -159,6 +161,56 @@ class TestHsIndex:
         assert sum(1 for c in counts if c >= h + 1) < h + 1
 
 
+def coordinates(n):
+    """n finite floats: either drawn from the whole float range, or small
+    integers times one power of two anywhere in it."""
+    anywhere = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    scaled = st.tuples(
+        st.lists(st.integers(-1000, 1000), min_size=n, max_size=n), st.integers(-1080, 1013)
+    ).map(lambda drawn: [math.ldexp(m, drawn[1]) for m in drawn[0]])
+    return anywhere | scaled
+
+
+@st.composite
+def point_sets(draw):
+    n = draw(st.integers(2, 12))
+    return list(zip(draw(coordinates(n)), draw(coordinates(n))))
+
+
+def oracle_pearson(points):
+    """Exact r, to 50 digits, and the error a two-pass float computation may
+    make; None when a coordinate has zero variance.
+
+    Centered sums are exact Fractions.  The float mean is off by at most
+    e = n * u * max|v| (u the unit roundoff); since the exact deviations sum
+    to zero, that error enters the centered sums only at second order
+    (n * e_x * e_y in sxy, n * e_x**2 in sxx), so r is good to about
+    (rho_x + rho_y)**2 with rho = e / sd, on top of a few n * u of ordinary
+    rounding.  A nearly constant coordinate has a large rho and no accuracy
+    to promise.
+    """
+    n = len(points)
+    columns = [[Fraction(v) for v in column] for column in zip(*points)]
+    means = [sum(column) / n for column in columns]
+    xs, ys = ([v - mean for v in column] for column, mean in zip(columns, means))
+    sxx = sum(dx * dx for dx in xs)
+    syy = sum(dy * dy for dy in ys)
+    sxy = sum(dx * dy for dx, dy in zip(xs, ys))
+    if sxx == 0 or syy == 0:
+        return None
+    with mpmath.workdps(50):
+
+        def real(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        r = real(sxy) / mpmath.sqrt(real(sxx) * real(syy))
+        rho = sum(
+            n * 2.0**-53 * max(abs(v) for v in column) / mpmath.sqrt(real(ss) / n)
+            for column, ss in zip(columns, (sxx, syy))
+        )
+        return float(r), 1e-12 + float(2 * rho**2)
+
+
 class TestPearson:
     def test_perfect_positive(self):
         assert pearson([(1, 2), (2, 4), (3, 6)]) == 1.0
@@ -175,6 +227,8 @@ class TestPearson:
             pearson([(1, 5), (1, 7), (1, 9)])
         with pytest.raises(DataError):
             pearson([(1, 5), (2, 5), (3, 5)])
+        with pytest.raises(DataError):  # the float mean of the y values is not one of them
+            pearson([(0, 3002399751580331.0), (0, 3002399751580331.0), (1, 3002399751580331.0)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -207,6 +261,25 @@ class TestPearson:
         base = pearson(points)
         moved = pearson([(x * scale + shift, y) for x, y in points])
         assert moved == pytest.approx(base, abs=1e-7)
+
+    @pytest.mark.parametrize("scale", [1e200, 1.5e306, 1e-200])
+    def test_extreme_magnitudes(self, scale):
+        # squares of 1e200 and sums of 1.5e306 overflow; squares of 1e-200 underflow
+        unit = [(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)]
+        assert pearson([(x * scale, y) for x, y in unit]) == pytest.approx(
+            pearson(unit), abs=1e-12
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(point_sets())
+    def test_matches_exact_oracle(self, points):
+        exact = oracle_pearson(points)
+        if exact is None:
+            with pytest.raises(DataError):
+                pearson(points)
+            return
+        r, tolerance = exact
+        assert abs(pearson(points) - r) <= tolerance
 
 
 class TestEntityTally:
