@@ -1,6 +1,7 @@
 import pytest
 
-from citerank.ingest import AffiliationRecord, PublicationRecord
+from citerank.aggregate import Window, build_store
+from citerank.ingest import AffiliationRecord, PublicationRecord, StatementRecord
 from citerank.linking import EntityKey, build_link_tables
 
 
@@ -70,6 +71,29 @@ class TestBuildLinkTables:
         )
         assert tables.publication_overwrites == 2
         assert tables.pub_to_journal["W1"] == "J3"
+
+
+class TestResolve:
+    """How a cited publication resolves to the keys build_store credits."""
+
+    @staticmethod
+    def credited(cited, tables):
+        statement = StatementRecord("C1", cited, 2024, "supporting")
+        store = build_store([statement], [], tables, Window(2024, 2024), "institution")
+        return set(store.tallies), store.diagnostics.statements_unresolved
+
+    def test_institution_full_counting(self):
+        # every affiliated institution gets full credit, no fractionalization
+        tables = make_tables()
+        assert self.credited("W1", tables) == (
+            {EntityKey("institution", "I1"), EntityKey("institution", "I2")},
+            0,
+        )
+        assert self.credited("W3", tables) == (set(), 1)
+
+    def test_empty_institution_set_is_unresolvable(self):
+        tables = build_link_tables([], [AffiliationRecord("W1", frozenset())])
+        assert self.credited("W1", tables) == (set(), 1)
 
 
 class TestEntityKey:
