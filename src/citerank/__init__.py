@@ -53,6 +53,8 @@ from .rank import (
     field_breakdown,
     rank_entities,
     round_display,
+    write_breakdown,
+    write_rows,
 )
 
 __version__ = "0.1.0"
@@ -104,5 +106,7 @@ __all__ = [
     "store_records",
     "stream",
     "usi",
+    "write_breakdown",
+    "write_rows",
     "__version__",
 ]

@@ -238,12 +238,13 @@ def store_records(store: Store) -> Iterator[dict]:
     yield {"kind": DIAGNOSTICS_KIND, **store.diagnostics.as_dict()}
 
 
+# what json.dumps(row, separators=(",", ":"), ensure_ascii=False) writes,
+# without building an encoder per row
+_encode_row = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def dump_store(store: Store) -> str:
-    lines = [
-        json.dumps(row, separators=(",", ":"), ensure_ascii=False)
-        for row in store_records(store)
-    ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(_encode_row, store_records(store))) + "\n"
 
 
 def load_store(source: Iterable[str], path: str = "<store>") -> Store:

@@ -48,10 +48,10 @@ from .rank import (
     METRICS,
     RankSpec,
     correlate,
-    export_breakdown,
-    export_rows,
     field_breakdown,
     rank_entities,
+    write_breakdown,
+    write_rows,
 )
 
 __all__ = ["main", "entrypoint"]
@@ -271,12 +271,18 @@ def _require_paths(resolved: dict[str, object], names: Sequence[str]) -> None:
             raise ConfigError(f"--{name}: no such path: {path}")
 
 
-def _write_out(out_path: object, text: str) -> None:
+@contextmanager
+def _output(out_path: object) -> Iterator[IO[str]]:
+    """stdout, or the --out file opened for writing.
+
+    Commands enter it only once every input is read and the result exists,
+    so a run that fails before then leaves --out untouched.
+    """
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(str(out_path), "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
 
 
 def _diag(payload: dict) -> None:
@@ -380,7 +386,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         str(resolved["entity"]),
         by_field=bool(resolved["group-by-field"]),
     )
-    _write_out(resolved["out"], dump_store(store))
+    text = dump_store(store)
+    with _output(resolved["out"]) as out:
+        out.write(text)
 
     if mode == "lenient":
         for path, report in reports:
@@ -409,7 +417,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
         si_config=_si_config(resolved),
     )
     rows, report = rank_entities(store, spec)
-    _write_out(resolved["out"], export_rows(rows, str(resolved["format"])))
+    with _output(resolved["out"]) as out:
+        write_rows(rows, str(resolved["format"]), out)
     _diag({"event": "exclusions", **asdict(report)})
     _diag_consistency(store)
     return EXIT_OK
@@ -419,7 +428,8 @@ def cmd_fields(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTS["fields"])
     store = _load_store_file(args.store)
     rows = field_breakdown(store, _si_config(resolved))
-    _write_out(resolved["out"], export_breakdown(rows, str(resolved["format"])))
+    with _output(resolved["out"]) as out:
+        write_breakdown(rows, str(resolved["format"]), out)
     _diag({"event": "breakdown", "rows": len(rows)})
     return EXIT_OK
 
@@ -432,10 +442,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     rows, _ = rank_entities(store, spec)
     scores = _read_scores(str(resolved["scores"]))
     result = correlate(rows, scores, metric=str(resolved["by"]))
-    _write_out(
-        resolved["out"],
-        json.dumps(asdict(result), ensure_ascii=False) + "\n",
-    )
+    text = json.dumps(asdict(result), ensure_ascii=False) + "\n"
+    with _output(resolved["out"]) as out:
+        out.write(text)
     return EXIT_OK
 
 

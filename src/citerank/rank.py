@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .aggregate import Store
 from .errors import ConfigError
@@ -36,6 +36,8 @@ __all__ = [
     "correlate",
     "export_rows",
     "export_breakdown",
+    "write_rows",
+    "write_breakdown",
     "RANK_CSV_HEADER",
     "BREAKDOWN_CSV_HEADER",
 ]
@@ -259,6 +261,8 @@ def correlate(
 # -- exports ---------------------------------------------------------------
 #
 # All three formats are deterministic byte-for-byte for a given row list.
+# ``write_rows`` and ``write_breakdown`` write a table to a text handle row
+# by row; ``export_rows`` and ``export_breakdown`` return the same text.
 # csv and json carry exact values (repr round-trips them losslessly); the
 # markdown table is the human view and shows display strings only.
 #
@@ -281,28 +285,36 @@ class _Table(NamedTuple):
 _FLAT_OBJECT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))
 
 
-def _write_table(table: _Table, rows: Sequence, fmt: str) -> str:
+def _write_table(table: _Table, rows: Sequence, fmt: str, out: IO[str]) -> None:
+    """Write each row to ``out`` as soon as it is formatted, so memory
+    holds one row's text at a time however long the table is."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(table.columns)
         writer.writerows(map(table.cells, rows))
-        return buffer.getvalue()
-    if fmt == "json":
+    elif fmt == "json":
         # json.dumps(objects, indent=2, ensure_ascii=False) and a newline
         if not rows:
-            return "[]\n"
+            out.write("[]\n")
+            return
         encode = _FLAT_OBJECT_ENCODER.encode
-        members = [
-            "{\n    " + encode(dict(zip(table.columns, table.cells(row))))[1:-1] + "\n  }"
-            for row in rows
-        ]
-        return "[\n  " + ",\n  ".join(members) + "\n]\n"
-    if fmt == "md":
-        lines = [table.md_header]
-        lines += ["| " + " | ".join(table.md_cells(row)) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+        opening = "[\n  {\n    "
+        for row in rows:
+            out.write(opening + encode(dict(zip(table.columns, table.cells(row))))[1:-1])
+            opening = "\n  },\n  {\n    "
+        out.write("\n  }\n]\n")
+    else:
+        out.write(table.md_header + "\n")
+        for row in rows:
+            out.write("| " + " | ".join(table.md_cells(row)) + " |\n")
+
+
+def _table_text(table: _Table, rows: Sequence, fmt: str) -> str:
+    buffer = io.StringIO()
+    _write_table(table, rows, fmt, buffer)
+    return buffer.getvalue()
 
 
 def _counts(tally: EntityTally) -> tuple[int, int, int, int]:
@@ -373,8 +385,18 @@ BREAKDOWN_CSV_HEADER = ",".join(_BREAKDOWN_TABLE.columns)
 
 
 def export_rows(rows: list[RankedRow], fmt: str) -> str:
-    return _write_table(_RANK_TABLE, rows, fmt)
+    return _table_text(_RANK_TABLE, rows, fmt)
 
 
 def export_breakdown(rows: list[FieldBreakdownRow], fmt: str) -> str:
-    return _write_table(_BREAKDOWN_TABLE, rows, fmt)
+    return _table_text(_BREAKDOWN_TABLE, rows, fmt)
+
+
+def write_rows(rows: Sequence[RankedRow], fmt: str, out: IO[str]) -> None:
+    """Write what ``export_rows`` returns to ``out``, row by row."""
+    _write_table(_RANK_TABLE, rows, fmt, out)
+
+
+def write_breakdown(rows: Sequence[FieldBreakdownRow], fmt: str, out: IO[str]) -> None:
+    """Write what ``export_breakdown`` returns to ``out``, row by row."""
+    _write_table(_BREAKDOWN_TABLE, rows, fmt, out)

@@ -260,6 +260,37 @@ class TestFields:
         assert main(["fields", str(store_path)]) == 1
 
 
+class TestOutFile:
+    @pytest.fixture
+    def grouped_store(self, corpus, tmp_path, capsys):
+        path = tmp_path / "grouped.jsonl"
+        args = aggregate_args(corpus, "--entity", "institution", "--group-by-field")
+        assert main([*args, "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", ["rank", "fields"])
+    def test_out_file_holds_the_stdout_bytes(self, grouped_store, tmp_path, capsys, command, fmt):
+        args = [command, str(grouped_store), "--format", fmt]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("\n") > 3
+        out = tmp_path / f"table.{fmt}"
+        assert main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode("utf-8")
+
+    @pytest.mark.parametrize("command", ["rank", "fields"])
+    def test_out_may_be_the_store_itself(self, grouped_store, capsys, command):
+        # the store is read whole before --out is opened
+        args = [command, str(grouped_store), "--format", "csv"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        assert main([*args, "--out", str(grouped_store)]) == 0
+        assert grouped_store.read_bytes() == stdout.encode("utf-8")
+
+
 class TestCorrelate:
     def test_reports_r_and_match_counts(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
@@ -537,6 +568,17 @@ class TestExtremeScores:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: si is not finite (-inf)" in captured.err
+
+    @pytest.mark.parametrize("command", ["rank", "fields"])
+    def test_failed_run_leaves_out_untouched(self, store_path, tmp_path, capsys, command):
+        out = tmp_path / "table.out"
+        args = [command, store_path, "--exponent", "1e308", "--out", str(out)]
+        out.write_bytes(b"an earlier table\n")
+        assert main(args) == 2
+        assert out.read_bytes() == b"an earlier table\n"
+        out.unlink()
+        assert main(args) == 2
+        assert not out.exists()
 
 
 class TestHashSeed:

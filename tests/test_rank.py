@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from citerank.rank import (
     field_breakdown,
     rank_entities,
     round_display,
+    write_breakdown,
+    write_rows,
 )
 
 
@@ -593,3 +596,80 @@ class TestCsvAndMarkdownExportsMatchOracles:
     def test_headers_are_the_oracle_headers(self):
         assert RANK_CSV_HEADER == ORACLE_RANK_CSV_HEADER
         assert BREAKDOWN_CSV_HEADER == ORACLE_BREAKDOWN_CSV_HEADER
+
+
+# -- the handle path against the string exports -------------------------------
+
+
+def written_bytes(write, rows, fmt):
+    """What ``write`` puts in a UTF-8 file; lone surrogates pass through so
+    every drawn text has bytes."""
+    handle = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogatepass")
+    write(rows, fmt, handle)
+    handle.flush()
+    return handle.buffer.getvalue()
+
+
+def string_bytes(text):
+    return text.encode("utf-8", "surrogatepass")
+
+
+class TestWrittenBytesMatchStringExports:
+    @settings(deadline=None)
+    @given(ranked_rows)
+    def test_rows(self, rows):
+        for fmt in ("csv", "json", "md"):
+            assert written_bytes(write_rows, rows, fmt) == string_bytes(export_rows(rows, fmt))
+
+    @settings(deadline=None)
+    @given(breakdown_rows)
+    def test_breakdown(self, rows):
+        for fmt in ("csv", "json", "md"):
+            assert written_bytes(write_breakdown, rows, fmt) == string_bytes(
+                export_breakdown(rows, fmt)
+            )
+
+    def test_empty(self):
+        for write, header, md_columns in (
+            (write_rows, RANK_CSV_HEADER, "| Entity |"),
+            (write_breakdown, BREAKDOWN_CSV_HEADER, "| Institution |"),
+        ):
+            assert written_bytes(write, [], "json") == b"[]\n"
+            assert written_bytes(write, [], "csv") == (header + "\n").encode()
+            md = written_bytes(write, [], "md").decode()
+            assert md.startswith(md_columns)
+            assert md.count("\n") == 2 and md.endswith("|\n")
+
+    def test_unknown_format_writes_nothing(self):
+        out = io.StringIO()
+        with pytest.raises(ConfigError):
+            write_rows([], "xml", out)
+        assert out.getvalue() == ""
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+class TestWritingAllocatesPerRow:
+    """The memory a table costs to write follows one row, not the table."""
+
+    def ranking(self):
+        store = journal_store(
+            {f"Journal {i:05d}": (i % 97 + 1, i % 13, i % 7 + 1, 50 + i) for i in range(5000)}
+        )
+        return rank_entities(store, RankSpec())[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+    def test_traced_peak_is_bounded(self, fmt):
+        rows = self.ranking()
+        assert len(rows) == 5000
+        assert len(export_rows(rows, "json")) > 1_000_000
+        tracemalloc.start()
+        try:
+            write_rows(rows, fmt, _Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
