@@ -10,7 +10,6 @@ design and document the gap rather than papering over it.
 
 import csv
 import io
-import itertools
 import math
 import random
 import time
@@ -360,11 +359,24 @@ def test_criterion_7_metric_property_suite():
 
 
 def brute_hs(counts):
-    best = 0
-    for h in range(len(counts) + 1):
-        if sum(1 for c in counts if c >= h) >= h:
-            best = h
-    return best
+    values = np.asarray(counts, dtype=np.int64)
+    at_least = (values[None, :] >= np.arange(len(counts) + 1)[:, None]).sum(axis=1)
+    return max(h for h in range(len(counts) + 1) if at_least[h] >= h)
+
+
+def multiset_rows(top, max_length):
+    """Every multiset of 1..max_length values in 0..top, one uint8 array per
+    length: each row holds one multiset in nondecreasing order, and the rows
+    are in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    for _ in range(max_length):
+        # each row r spawns r + [v] for v from r's last value up to top
+        last = rows[:, -1] if rows.shape[1] else np.zeros(1, dtype=np.uint8)
+        reps = top + 1 - last.astype(np.intp)
+        step = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        new = (np.repeat(last, reps) + step).astype(np.uint8)
+        rows = np.hstack([np.repeat(rows, reps, axis=0), new[:, None]])
+        yield rows
 
 
 def test_criterion_8_hs_index_exhaustive():
@@ -372,27 +384,32 @@ def test_criterion_8_hs_index_exhaustive():
     (order cannot matter and is asserted separately), plus 1,000 random
     larger instances."""
     start = time.perf_counter()
-    total = 0
-    for length in range(0, 13):
-        combos = itertools.combinations_with_replacement(range(13), length)
-        while True:
-            chunk = list(itertools.islice(combos, 400_000))
-            if not chunk:
-                break
-            total += len(chunk)
-            mine = np.fromiter(map(hs_index, chunk), dtype=np.int8, count=len(chunk))
-            if length == 0:
-                assert mine.tolist() == [0]
-                continue
-            # values are 0..12, so a bytes round-trip is the fastest flatten
-            flat = np.frombuffer(
-                bytes(itertools.chain.from_iterable(chunk)), dtype=np.uint8
-            )
-            arr = flat.reshape(len(chunk), length)
-            oracle = np.zeros(len(chunk), dtype=np.int8)
+    assert hs_index(()) == 0
+    total = 1
+    for rows in multiset_rows(12, 12):
+        length = rows.shape[1]
+        # the rows are every multiset of this size: values in 0..12, each row
+        # nondecreasing, strictly increasing as base-13 numbers, C(12 + L, L)
+        assert len(rows) == math.comb(12 + length, length)
+        assert rows.max() <= 12 and np.all(rows[:, 1:] >= rows[:, :-1])
+        code = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            code = code * 13 + column
+        assert np.all(np.diff(code) > 0)
+        total += len(rows)
+        for lo in range(0, len(rows), 400_000):
+            columns = np.ascontiguousarray(rows[lo : lo + 400_000].T)
+            n = columns.shape[1]
+            # zip over the columns' bytes hands hs_index one tuple of ints per
+            # multiset without converting each value through numpy
+            chunk = zip(*map(bytes, columns))
+            mine = np.fromiter(map(hs_index, chunk), dtype=np.int8, count=n)
+            oracle = np.zeros(n, dtype=np.int8)
             for h in range(1, length + 1):
-                enough = (arr >= h).sum(axis=1, dtype=np.int16) >= h
-                oracle = np.where(enough, h, oracle)
+                at_least = np.zeros(n, dtype=np.uint8)
+                for column in columns:
+                    at_least += column >= h
+                oracle[at_least >= h] = h
             assert np.array_equal(mine, oracle), f"length {length}"
     assert total == 5_200_300  # multisets of size <= 12 over values 0..12
 
