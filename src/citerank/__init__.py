@@ -14,7 +14,6 @@ from .aggregate import (
     count_statement_excess,
     dump_store,
     load_store,
-    store_records,
 )
 from .errors import CiterankError, ConfigError, DataError, ParseError
 from .ingest import (
@@ -103,7 +102,6 @@ __all__ = [
     "rank_entities",
     "round_display",
     "si",
-    "store_records",
     "stream",
     "usi",
     "write_breakdown",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ConfigError, DataError, ParseError
-from .ingest import ReferenceEvent, StatementRecord, _decode_line
+from .ingest import ReferenceEvent, StatementRecord, _decode_line, _has_lone_surrogate
 from .linking import ENTITY_KINDS, EntityKey, LinkTables
 from .metrics import EntityTally
 
@@ -24,7 +24,6 @@ __all__ = [
     "Store",
     "build_store",
     "count_statement_excess",
-    "store_records",
     "dump_store",
     "load_store",
 ]
@@ -219,12 +218,16 @@ def count_statement_excess(store: Store) -> int:
 # lean on.
 
 
-def store_records(store: Store) -> Iterator[dict]:
-    def sort_key(item: tuple[EntityKey, EntityTally]):
-        key, _ = item
-        return (key.kind, key.id, key.field or "")
+# what json.dumps(row, separators=(",", ":"), ensure_ascii=False) writes,
+# without building an encoder per row
+_encode_row = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
-    for key, tally in sorted(store.tallies.items(), key=sort_key):
+
+def dump_store(store: Store) -> str:
+    lines = []
+    for key, tally in sorted(
+        store.tallies.items(), key=lambda item: (item[0].kind, item[0].id, item[0].field or "")
+    ):
         row: dict = {"kind": key.kind, "id": key.id}
         if key.field is not None:
             row["field"] = key.field
@@ -234,17 +237,9 @@ def store_records(store: Store) -> Iterator[dict]:
             contrasting=tally.contrasting,
             references=tally.references,
         )
-        yield row
-    yield {"kind": DIAGNOSTICS_KIND, **store.diagnostics.as_dict()}
-
-
-# what json.dumps(row, separators=(",", ":"), ensure_ascii=False) writes,
-# without building an encoder per row
-_encode_row = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
-
-
-def dump_store(store: Store) -> str:
-    return "\n".join(map(_encode_row, store_records(store))) + "\n"
+        lines.append(_encode_row(row))
+    lines.append(_encode_row({"kind": DIAGNOSTICS_KIND, **store.diagnostics.as_dict()}))
+    return "\n".join(lines) + "\n"
 
 
 def load_store(source: Iterable[str], path: str = "<store>") -> Store:
@@ -284,6 +279,10 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
         label = row.get("field")
         if label is not None and (type(label) is not str or not label):
             raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
+        if _has_lone_surrogate(entity_id):
+            raise DataError(f"{path}:{line_no}: 'id' holds a lone surrogate")
+        if label is not None and _has_lone_surrogate(label):
+            raise DataError(f"{path}:{line_no}: 'field' holds a lone surrogate")
         # JSON yields exact types, so ``type(x) is int`` excludes bools;
         # EntityTally rejects a negative counter
         supporting = row.get("supporting")

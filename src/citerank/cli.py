@@ -438,13 +438,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     resolved = _resolve(args, COMMAND_OPTS["correlate"])
     _require_paths(resolved, ("scores",))
     store = _load_store_file(args.store)
-    spec = RankSpec(metric=str(resolved["by"]), si_config=_si_config(resolved))
-    rows, _ = rank_entities(store, spec)
     scores = _read_scores(str(resolved["scores"]))
-    result = correlate(rows, scores, metric=str(resolved["by"]))
-    text = json.dumps(asdict(result), ensure_ascii=False) + "\n"
+    result = correlate(store, scores, str(resolved["by"]), _si_config(resolved))
     with _output(resolved["out"]) as out:
-        out.write(text)
+        out.write(json.dumps(asdict(result), ensure_ascii=False) + "\n")
     return EXIT_OK
 
 
@@ -462,8 +459,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         path = resolved[name]
         if path is None:
             continue
-        if not os.path.exists(str(path)):
-            raise ConfigError(f"--{name}: no such path: {path}")
+        _require_paths(resolved, (name,))
         checked += 1
         report = SkipReport()
         records = 0
@@ -528,7 +524,7 @@ def build_parser() -> _Parser:
     add_command(
         "correlate",
         cmd_correlate,
-        "correlate ranked scores with an external score file",
+        "correlate a plain store's scores with an external score file",
         store_positional=True,
     )
     add_command(

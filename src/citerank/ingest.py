@@ -19,6 +19,7 @@ required keys are parse errors.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Iterator, NamedTuple, TypeVar
@@ -147,7 +148,24 @@ def _load_object(line: str) -> dict:
 def _str_error(obj: dict, key: str) -> ParseError:
     if key not in obj:
         return ParseError(f"missing key {key!r}")
-    return ParseError(f"key {key!r} must be a nonempty string, got {obj[key]!r}")
+    value = obj[key]
+    if type(value) is str and value:  # fails only the surrogate check
+        return ParseError(f"key {key!r} holds a lone surrogate, got {value!r}")
+    return ParseError(f"key {key!r} must be a nonempty string, got {value!r}")
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _has_lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a surrogate code point, which UTF-8 cannot encode.
+
+    JSON escapes can spell one (``"\\ud800"``) and no output file can hold
+    it, so a value that reaches output is checked where it enters.  An
+    escaped pair decodes to one astral character, so any surrogate left is
+    lone.  ASCII text, nearly all of it, costs one ``isascii`` call.
+    """
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def _year_error(obj: dict, key: str) -> ParseError:
@@ -202,11 +220,13 @@ def parse_publication(line: str) -> PublicationRecord:
     """Parse one publication metadata line; optional keys may be absent or null."""
     obj = _load_object(line)
     journal_id = obj.get("journal_id")
-    if journal_id is not None and (type(journal_id) is not str or not journal_id):
-        raise ParseError(f"key 'journal_id' must be a nonempty string, got {journal_id!r}")
+    if journal_id is not None and (
+        type(journal_id) is not str or not journal_id or _has_lone_surrogate(journal_id)
+    ):
+        raise _str_error(obj, "journal_id")
     field = obj.get("field")
-    if field is not None and (type(field) is not str or not field):
-        raise ParseError(f"key 'field' must be a nonempty string, got {field!r}")
+    if field is not None and (type(field) is not str or not field or _has_lone_surrogate(field)):
+        raise _str_error(obj, "field")
     year = obj.get("year")
     if year is not None and (type(year) is not int or not MIN_YEAR <= year <= _MAX_YEAR):
         raise _year_error(obj, "year")
@@ -230,6 +250,8 @@ def parse_affiliation(line: str) -> AffiliationRecord:
     for item in raw:
         if type(item) is not str or not item:
             raise ParseError(f"institution id must be a nonempty string, got {item!r}")
+        if _has_lone_surrogate(item):
+            raise ParseError(f"institution id holds a lone surrogate, got {item!r}")
     return AffiliationRecord(pub_id, frozenset(raw))
 
 

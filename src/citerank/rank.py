@@ -126,6 +126,14 @@ def round_display(value: float | None) -> str:
     )
 
 
+def _scores(tally: EntityTally, si_config: SiConfig) -> tuple[float | None, float | None]:
+    """The tally's usi and si; si is None whenever usi is."""
+    usi_value = usi(tally.supporting, tally.contrasting)
+    if usi_value is None:
+        return None, None
+    return usi_value, si(tally.references, usi_value, si_config)
+
+
 def rank_entities(
     store: Store, spec: RankSpec
 ) -> tuple[list[RankedRow], ExclusionReport]:
@@ -150,15 +158,11 @@ def rank_entities(
         if tally.references < spec.min_references:
             report.below_min_references += 1
             continue
-        usi_value = usi(tally.supporting, tally.contrasting)
-        si_value = (
-            None if usi_value is None else si(tally.references, usi_value, spec.si_config)
-        )
+        usi_value, si_value = _scores(tally, spec.si_config)
         metric_value = usi_value if spec.metric == "usi" else si_value
         if metric_value is None:
             report.undefined_metric += 1
             continue
-        assert usi_value is not None
         scored.append((metric_value, key, tally, usi_value, si_value))
 
     scored.sort(key=lambda item: (-item[0], item[1].id, item[1].field or ""))
@@ -200,20 +204,11 @@ def field_breakdown(
         )
     rows: list[FieldBreakdownRow] = []
     for key, tally in store.tallies.items():
-        usi_value = usi(tally.supporting, tally.contrasting)
-        if usi_value is None:
-            continue
-        si_value = si(tally.references, usi_value, si_config)
+        usi_value, si_value = _scores(tally, si_config)
         if si_value is None:
             continue
         rows.append(
-            FieldBreakdownRow(
-                institution=EntityKey(key.kind, key.id),
-                field=key.field,
-                tally=tally,
-                usi_exact=usi_value,
-                si_exact=si_value,
-            )
+            FieldBreakdownRow(EntityKey(key.kind, key.id), key.field, tally, usi_value, si_value)
         )
     rows.sort(key=lambda row: (row.field, -row.si_exact, row.institution.id))
     return rows
@@ -221,7 +216,7 @@ def field_breakdown(
 
 @dataclass(slots=True)
 class CorrelationResult:
-    """Correlation of ranked scores against an external per-entity score."""
+    """Correlation of a store's scores against an external per-entity score."""
 
     r: float
     matched: int
@@ -230,31 +225,40 @@ class CorrelationResult:
 
 
 def correlate(
-    rows: list[RankedRow], external: Mapping[str, float], metric: str = "usi"
+    store: Store,
+    external: Mapping[str, float],
+    metric: str = "usi",
+    si_config: SiConfig = DEFAULT_SI_CONFIG,
 ) -> CorrelationResult:
-    """Pearson correlation between a ranked metric and external scores.
+    """Pearson correlation between a store's chosen metric and external scores.
 
-    Matching is by entity id.  Rows without an external value, and rows
-    whose chosen metric is undefined, are skipped and counted; external ids
-    matching no row are counted on the other side.  Raises DataError when
-    fewer than two matches remain or a side is constant.
+    Matching is by entity id, so a per-field store is rejected.  Entities
+    with an undefined metric are left out; those without an external value
+    are counted, and so are external ids matching none.  Raises DataError
+    where ``si`` or ``pearson`` does.
     """
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
-    points: list[tuple[float, float]] = []
-    unmatched_rows = 0
-    for row in rows:
-        outside = external.get(row.entity.id)
-        value = row.usi_exact if metric == "usi" else row.si_exact
-        if outside is None or value is None:
-            unmatched_rows += 1
+    if any(key.field is not None for key in store.tallies):
+        raise ConfigError("store has per-field grouping; correlate needs a plain store")
+    matched: list[tuple[float, str, float]] = []
+    defined = 0
+    for key, tally in store.tallies.items():
+        usi_value, si_value = _scores(tally, si_config)
+        value = usi_value if metric == "usi" else si_value
+        if value is None:
             continue
-        points.append((value, float(outside)))
+        defined += 1
+        outside = external.get(key.id)
+        if outside is not None:
+            matched.append((value, key.id, float(outside)))
+    # summed in ranking order, so r's last bits never follow the store's row order
+    matched.sort(key=lambda item: (-item[0], item[1]))
     return CorrelationResult(
-        r=pearson(points),
-        matched=len(points),
-        unmatched_rows=unmatched_rows,
-        unmatched_external=len(external) - len(points),
+        r=pearson([(value, outside) for value, _, outside in matched]),
+        matched=len(matched),
+        unmatched_rows=defined - len(matched),
+        unmatched_external=len(external) - len(matched),
     )
 
 

@@ -453,7 +453,7 @@ def test_criterion_9_pearson_matches_reference():
     )
     rows, _ = rank_entities(store, RankSpec(metric="usi"))
     external = {row.entity.id: row.usi_exact for row in rows}
-    result = correlate(rows, external, metric="usi")
+    result = correlate(store, external, metric="usi")
     assert abs(result.r - 1.0) <= 1e-12
     assert result.matched == 60
 

@@ -370,6 +370,10 @@ class TestSerialization:
             '{"kind":"journal","id":"","supporting":0,"mentioning":0,"contrasting":0,"references":0}\n',
             '{"kind":"journal","id":"J1","supporting":-1,"mentioning":0,"contrasting":0,"references":0}\n',
             '{"kind":"journal","id":"J1","supporting":true,"mentioning":0,"contrasting":0,"references":0}\n',
+            '{"kind":"journal","id":"J\\ud800","supporting":0,"mentioning":0,"contrasting":0,'
+            '"references":0}\n{"kind":"diagnostics"}\n',
+            '{"kind":"journal","id":"J1","field":"F\\udc00","supporting":0,"mentioning":0,'
+            '"contrasting":0,"references":0}\n{"kind":"diagnostics"}\n',
         ],
     )
     def test_defective_files_rejected(self, text):

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import citerank
@@ -359,6 +359,28 @@ class TestCorrelate:
         scores.write_text('{"id": "J1", "value": 0.5}\n', encoding="utf-8")
         assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
 
+    def test_per_field_store_exit_1(self, tmp_path, capsys):
+        # each institution would be matched once per field
+        store_path = tmp_path / "grouped.jsonl"
+        tallies = {
+            EntityKey("institution", "I1", "Maths"): EntityTally(1, 0, 1, 10),
+            EntityKey("institution", "I1", "Physics"): EntityTally(2, 0, 1, 10),
+            EntityKey("institution", "I2", "Maths"): EntityTally(3, 0, 1, 10),
+            EntityKey("institution", "I2", "Physics"): EntityTally(4, 0, 1, 10),
+        }
+        store_path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            '{"id": "I1", "value": 1.0}\n{"id": "I2", "value": 2.0}\n', encoding="utf-8"
+        )
+        out = tmp_path / "r.json"
+        args = ["correlate", str(store_path), "--scores", str(scores), "--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: store has per-field grouping" in captured.err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_clean_inputs_exit_0(self, corpus, capsys):
@@ -581,6 +603,94 @@ class TestExtremeScores:
         assert not out.exists()
 
 
+class TestLoneSurrogates:
+    """A JSON escape can spell a lone surrogate, which UTF-8 cannot encode;
+    a value that would reach output is rejected where it enters."""
+
+    SPOILED = [
+        ("journal", "pubs", '{"id": "W1", "journal_id": "J\\ud800", "field": "Physics"}'),
+        ("field", "pubs", '{"id": "W1", "journal_id": "J1", "field": "P\\udfff"}'),
+        ("institution", "affiliations", '{"pub_id": "W1", "institution_ids": ["I1", "I\\ud800"]}'),
+    ]
+
+    def spoil(self, corpus, tmp_path, kind, name, line):
+        path = tmp_path / f"spoiled_{name}.jsonl"
+        lines = {"pubs": PUBS, "affiliations": AFFILS}[name]
+        path.write_text("".join(valid + "\n" for valid in lines) + line + "\n", encoding="utf-8")
+        args = aggregate_args(dict(corpus, **{name: str(path)}))
+        args[args.index("--entity") + 1] = kind
+        return args, str(path), len(lines) + 1
+
+    @pytest.mark.parametrize("kind,name,line", SPOILED)
+    def test_aggregate_strict_exit_2_leaves_out_untouched(
+        self, corpus, tmp_path, capsys, kind, name, line
+    ):
+        args, path, line_no = self.spoil(corpus, tmp_path, kind, name, line)
+        out = tmp_path / "store.jsonl"
+        out.write_bytes(b"an earlier store\n")
+        assert main([*args, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"an earlier store\n"
+        assert f"error: {path}:{line_no}: " in capsys.readouterr().err
+        out.unlink()
+        assert main([*args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,name,line", SPOILED)
+    def test_aggregate_lenient_skips_the_line(self, corpus, tmp_path, capsys, kind, name, line):
+        args, path, line_no = self.spoil(corpus, tmp_path, kind, name, line)
+        clean = aggregate_args(corpus, "--mode", "lenient")
+        clean[clean.index("--entity") + 1] = kind
+        assert main(clean) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "store.jsonl"
+        assert main([*args, "--mode", "lenient", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+        events = stderr_events(capsys.readouterr())
+        report = next(e for e in events if e["event"] == "ingest" and e["file"] == path)
+        assert (report["skipped"], report["first_bad_line"]) == (1, line_no)
+
+    @pytest.mark.parametrize("kind,name,line", SPOILED)
+    def test_validate_counts_a_defect(self, corpus, tmp_path, capsys, kind, name, line):
+        _, path, line_no = self.spoil(corpus, tmp_path, kind, name, line)
+        assert main(["validate", f"--{name}", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["skipped"], report["first_bad_line"]) == (1, line_no)
+
+    @pytest.mark.parametrize(
+        "member,row",
+        [
+            ("id", '{"kind":"institution","id":"I\\ud800","field":"Physics"'),
+            ("field", '{"kind":"institution","id":"I1","field":"P\\udc00"'),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["rank", "fields"])
+    def test_store_exit_2_leaves_out_untouched(self, tmp_path, capsys, command, member, row):
+        store = tmp_path / "store.jsonl"
+        store.write_text(
+            row + ',"supporting":1,"mentioning":0,"contrasting":0,"references":1}\n'
+            '{"kind":"diagnostics"}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "table.out"
+        out.write_bytes(b"an earlier table\n")
+        assert main([command, str(store), "--out", str(out)]) == 2
+        assert out.read_bytes() == b"an earlier table\n"
+        assert f"error: {store}:1: '{member}' holds a lone surrogate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rank", "fields"])
+    def test_escaped_pair_is_one_astral_character(self, tmp_path, capsys, command):
+        store = tmp_path / "store.jsonl"
+        store.write_text(
+            '{"kind":"institution","id":"I\\ud83d\\ude00","field":"P\\ud83d\\ude00",'
+            '"supporting":1,"mentioning":0,"contrasting":0,"references":1}\n'
+            '{"kind":"diagnostics"}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "table.csv"
+        assert main([command, str(store), "--format", "csv", "--out", str(out)]) == 0
+        assert "I\U0001f600" in out.read_text(encoding="utf-8")
+
+
 class TestHashSeed:
     def test_same_bytes_under_any_hash_seed(self, corpus, tmp_path):
         # keys and institution sets are hashed; no set order may reach the output
@@ -686,6 +796,8 @@ class TestConfigFile:
 
 # -- fuzz: mixed valid and garbage NDJSON through main() -------------------
 
+# valid JSON whose journal id UTF-8 cannot encode
+LONE_SURROGATE_PUB = b'{"id": "W1", "journal_id": "J\\ud800"}'
 GARBAGE = [
     b"\xff\xfe",
     b'{"citing_id": "C\xc3", "cited_id": "W1", "citing_year": 2024}',
@@ -698,6 +810,7 @@ GARBAGE = [
     b'{"citing_id": "C1", "cited_id": "W1", "citing_year": ' + b"9" * 5000 + b"}",
     b'{"id": "W2", "year": -' + b"1" * 4400 + b"}",
     b'{"id": "W1", "journal_id": NaN}',
+    LONE_SURROGATE_PUB,
     b"\xef\xbb\xbf" + STATEMENTS[0].encode(),
     b"{",
     b"",
@@ -728,6 +841,17 @@ class TestFuzz:
         st.sampled_from(["journal", "institution", "field"]),
         st.booleans(),
         st.sampled_from(["strict", "lenient"]),
+    )
+    @example(
+        files={
+            "statements": [STATEMENTS[0].encode()],
+            "references": [],
+            "pubs": [LONE_SURROGATE_PUB],
+            "affiliations": [],
+        },
+        kind="journal",
+        by_field=False,
+        mode="strict",
     )
     def test_main_never_crashes(self, tmp_path_factory, files, kind, by_field, mode):
         base = tmp_path_factory.mktemp("fuzz")
@@ -764,7 +888,7 @@ class TestFuzz:
 # -- fuzz: garbage stores and scores through the read-side commands --------
 
 COUNTERS = ("supporting", "mentioning", "contrasting", "references")
-IDS = ["E1", "E2", "E3", "E4", "E5", "x|y\n", 'q"\\']
+IDS = ["E1", "E2", "E3", "E4", "E5", "x|y\n", 'q"\\', "s\ud800"]
 # values that make one member of a row wrong; None drops the member
 SPOILERS = {
     "kind": ["city", "", 3, None, "journal", "field", "diagnostics"],
@@ -817,7 +941,7 @@ def read_side_files(draw):
     for entity_id in draw(st.lists(st.sampled_from(IDS), max_size=6, unique=True)):
         row = {"kind": kind, "id": entity_id}
         if labels:
-            row["field"] = draw(st.sampled_from(["Physics", "Maths"]))
+            row["field"] = draw(st.sampled_from(["Physics", "Maths", "M\udc00"]))
         for name in COUNTERS:
             row[name] = draw(st.integers(0, 40) | st.just(10**400))
         rows.append(row)
@@ -852,6 +976,8 @@ class TestReadSideFuzz:
             *(["correlate", store, "--scores", scores, "--by", by] for by in ("si", "usi")),
         ]
         for args in runs:
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            # a real stdout encodes what is written to it, and fails as it would
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
                 code = main(args)
             assert code in (0, 1, 2, 3), args

@@ -95,11 +95,17 @@ class TestParsePublication:
             '{"id": "W1", "field": 3}',
             '{"id": "W1", "year": "1999"}',
             '{"id": "W1", "year": 1201}',
+            '{"id": "W1", "journal_id": "J\\ud800"}',
+            '{"id": "W1", "field": "F\\udfff"}',
         ],
     )
     def test_defects(self, line):
         with pytest.raises(ParseError):
             parse_publication(line)
+
+    def test_escaped_surrogate_pair_is_one_character(self):
+        rec = parse_publication('{"id": "W1", "journal_id": "J\\ud83d\\ude00"}')
+        assert rec.journal_id == "J\U0001f600"
 
 
 class TestParseAffiliation:
@@ -118,6 +124,7 @@ class TestParseAffiliation:
             '{"pub_id": "W1", "institution_ids": "I1"}',
             '{"pub_id": "W1", "institution_ids": ["I1", ""]}',
             '{"pub_id": "W1", "institution_ids": [1]}',
+            '{"pub_id": "W1", "institution_ids": ["I1", "I\\ud800"]}',
         ],
     )
     def test_defects(self, line):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 from citerank.aggregate import Store
 from citerank.errors import ConfigError, DataError
 from citerank.linking import EntityKey
-from citerank.metrics import EntityTally, SiConfig
+from citerank.metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
 from citerank.rank import (
     BREAKDOWN_CSV_HEADER,
+    METRICS,
     RANK_CSV_HEADER,
+    CorrelationResult,
+    ExclusionReport,
     FieldBreakdownRow,
     RankedRow,
     RankSpec,
@@ -261,20 +265,22 @@ class TestFieldBreakdown:
 
 
 class TestCorrelate:
-    def ranked_rows(self):
+    def make_store(self):
         rng = random.Random(5)
-        store = journal_store(
+        return journal_store(
             {
                 f"E{i}": (rng.randrange(1, 100), 0, rng.randrange(1, 20), rng.randrange(1, 900))
                 for i in range(40)
             }
         )
-        return rank_entities(store, RankSpec(metric="usi"))[0]
+
+    def ranked_rows(self):
+        return rank_entities(self.make_store(), RankSpec(metric="usi"))[0]
 
     def test_self_correlation_is_one(self):
         rows = self.ranked_rows()
         external = {row.entity.id: row.usi_exact for row in rows}
-        result = correlate(rows, external, metric="usi")
+        result = correlate(self.make_store(), external, metric="usi")
         assert result.r == pytest.approx(1.0, abs=1e-12)
         assert result.matched == len(rows)
         assert result.unmatched_rows == 0
@@ -284,7 +290,7 @@ class TestCorrelate:
         rows = self.ranked_rows()
         external = {row.entity.id: 1.0 + i for i, row in enumerate(rows[:10])}
         external["nobody"] = 3.0
-        result = correlate(rows, external, metric="usi")
+        result = correlate(self.make_store(), external, metric="usi")
         assert result.matched == 10
         assert result.unmatched_rows == len(rows) - 10
         assert result.unmatched_external == 1
@@ -292,13 +298,150 @@ class TestCorrelate:
     def test_degenerate_raises(self):
         rows = self.ranked_rows()
         with pytest.raises(DataError):
-            correlate(rows, {rows[0].entity.id: 1.0}, metric="usi")
+            correlate(self.make_store(), {rows[0].entity.id: 1.0}, metric="usi")
         with pytest.raises(DataError):
-            correlate(rows, {row.entity.id: 5.0 for row in rows}, metric="usi")
+            correlate(self.make_store(), {row.entity.id: 5.0 for row in rows}, metric="usi")
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ConfigError):
-            correlate(self.ranked_rows(), {}, metric="h")
+            correlate(self.make_store(), {}, metric="h")
+
+    def test_per_field_store_rejected(self):
+        # each id would be matched once per field
+        store = store_of(
+            {
+                EntityKey("institution", name, label): EntityTally(3, 0, 1, 10)
+                for name in ("I1", "I2")
+                for label in ("Maths", "Physics")
+            },
+            kind="institution",
+        )
+        with pytest.raises(ConfigError, match="per-field"):
+            correlate(store, {"I1": 1.0, "I2": 2.0})
+
+
+# -- correlate against the ranking it used to read ------------------------
+#
+# Before correlate read the store, it took rank_entities' rows; these two
+# functions are that path, copied literally, as the reference for r's bits.
+
+
+def oracle_rank_entities(
+    store: Store, spec: RankSpec
+) -> tuple[list[RankedRow], ExclusionReport]:
+    if spec.kind is not None and store.kind is not None and spec.kind != store.kind:
+        raise ConfigError(
+            f"spec expects kind {spec.kind!r} but store holds {store.kind!r}"
+        )
+    report = ExclusionReport()
+    scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
+    for key, tally in store.tallies.items():
+        if tally.valenced < spec.min_valenced:
+            report.below_min_valenced += 1
+            continue
+        if tally.references < spec.min_references:
+            report.below_min_references += 1
+            continue
+        usi_value = usi(tally.supporting, tally.contrasting)
+        si_value = (
+            None if usi_value is None else si(tally.references, usi_value, spec.si_config)
+        )
+        metric_value = usi_value if spec.metric == "usi" else si_value
+        if metric_value is None:
+            report.undefined_metric += 1
+            continue
+        assert usi_value is not None
+        scored.append((metric_value, key, tally, usi_value, si_value))
+
+    scored.sort(key=lambda item: (-item[0], item[1].id, item[1].field or ""))
+    if spec.top_k is not None and len(scored) > spec.top_k:
+        report.beyond_top_k = len(scored) - spec.top_k
+        scored = scored[: spec.top_k]
+
+    rows = [
+        RankedRow(position, key, tally, usi_value, si_value)
+        for position, (_, key, tally, usi_value, si_value) in enumerate(scored, start=1)
+    ]
+    return rows, report
+
+
+def oracle_correlate(
+    rows: list[RankedRow], external: Mapping[str, float], metric: str = "usi"
+) -> CorrelationResult:
+    if metric not in METRICS:
+        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
+    points: list[tuple[float, float]] = []
+    unmatched_rows = 0
+    for row in rows:
+        outside = external.get(row.entity.id)
+        value = row.usi_exact if metric == "usi" else row.si_exact
+        if outside is None or value is None:
+            unmatched_rows += 1
+            continue
+        points.append((value, float(outside)))
+    return CorrelationResult(
+        r=pearson(points),
+        matched=len(points),
+        unmatched_rows=unmatched_rows,
+        unmatched_external=len(external) - len(points),
+    )
+
+
+def correlation_outcome(compute):
+    try:
+        result = compute()
+    except DataError as exc:
+        return ("error", str(exc))
+    return (result.r.hex(), result.matched, result.unmatched_rows, result.unmatched_external)
+
+
+# small counters make ties in usi and si common, so the summing order counts;
+# a usi of 1/1000 sends si past the float range under exponent 1e308
+CORRELATE_TALLIES = st.builds(
+    EntityTally,
+    st.integers(0, 6),
+    st.integers(0, 3),
+    st.sampled_from([0, 1, 2, 3, 4, 5, 6, 5994]),
+    st.integers(0, 40) | st.sampled_from([0, 10**9]),
+)
+CORRELATE_SCORES = (
+    st.integers(-3, 3)
+    | st.floats(-1e6, 1e6, allow_nan=False)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def correlate_cases(draw):
+    """A plain store of any kind, a score map that misses some of its ids
+    and names foreign ones, a metric and an si configuration."""
+    kind = draw(st.sampled_from(["journal", "institution", "field"]))
+    ids = [f"E{i}" for i in range(draw(st.integers(0, 12)))]
+    store = store_of({EntityKey(kind, name): draw(CORRELATE_TALLIES) for name in ids}, kind=kind)
+    external = {}
+    for name in draw(st.permutations(ids + ["X1", "X2"])):
+        if draw(st.integers(0, 3)):
+            external[name] = draw(CORRELATE_SCORES)
+    metric = draw(st.sampled_from(METRICS))
+    si_config = draw(
+        st.sampled_from(
+            [DEFAULT_SI_CONFIG, SiConfig(exponent=1.5, log_base=math.e), SiConfig(exponent=1e308)]
+        )
+    )
+    return store, external, metric, si_config
+
+
+class TestCorrelateMatchesRankedOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(correlate_cases())
+    def test_same_r_bits_counts_and_errors(self, case):
+        store, external, metric, si_config = case
+        spec = RankSpec(metric=metric, si_config=si_config)
+        assert correlation_outcome(
+            lambda: correlate(store, external, metric, si_config)
+        ) == correlation_outcome(
+            lambda: oracle_correlate(oracle_rank_entities(store, spec)[0], external, metric)
+        )
 
 
 class TestExports:
