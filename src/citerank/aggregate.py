@@ -245,10 +245,12 @@ def dump_store(store: Store) -> str:
 def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     """Read a serialized store back for ranking and reporting.
 
-    The kind is recovered from the rows.  Defects raise DataError.
+    The kind, and whether the store is per-field, are recovered from the
+    rows; a store mixing either raises DataError, as does any other defect.
     """
     tallies: dict[EntityKey, EntityTally] = {}
     kind: str | None = None
+    per_field: bool | None = None
     diagnostics: Diagnostics | None = None
     for line_no, line in enumerate(source, start=1):
         if not line.strip():
@@ -283,6 +285,10 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
             raise DataError(f"{path}:{line_no}: 'id' holds a lone surrogate")
         if label is not None and _has_lone_surrogate(label):
             raise DataError(f"{path}:{line_no}: 'field' holds a lone surrogate")
+        if per_field is None:
+            per_field = label is not None
+        elif (label is not None) is not per_field:
+            raise DataError(f"{path}:{line_no}: mixed per-field and plain rows")
         # JSON yields exact types, so ``type(x) is int`` excludes bools;
         # EntityTally rejects a negative counter
         supporting = row.get("supporting")

@@ -322,7 +322,8 @@ def _load_store_file(path: str) -> Store:
 
 
 def _read_scores(path: str) -> dict[str, float]:
-    """External per-entity scores: one {"id", "value"} object per line."""
+    """External per-entity scores: one {"id", "value"} object per line,
+    each id once."""
     scores: dict[str, float] = {}
     with _open_utf8(path) as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -351,6 +352,14 @@ def _read_scores(path: str) -> dict[str, float]:
             if not math.isfinite(number):
                 raise ParseError(
                     "key 'value' must be a finite number", path=path, line_no=line_no
+                )
+            if entity_id in scores:
+                # every earlier line added one id, in file order
+                first = list(scores).index(entity_id) + 1
+                raise ParseError(
+                    f"duplicate id {entity_id!r}, first on line {first}",
+                    path=path,
+                    line_no=line_no,
                 )
             scores[entity_id] = number
     return scores

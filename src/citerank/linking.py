@@ -37,7 +37,10 @@ class LinkTables:
     """Publication-to-entity lookup tables plus overwrite diagnostics.
 
     Duplicate ids are resolved last-writer-wins, and the overwrite counters
-    exist so a pipeline can report how dirty its metadata was.
+    exist so a pipeline can report how dirty its metadata was.  Equal
+    journal ids, field labels, institution ids and institution sets are
+    shared between publications, so the tables cost little more than one
+    entry per publication; callers must not rely on object identity.
     """
 
     pub_to_journal: dict[str, str]
@@ -57,6 +60,9 @@ def build_link_tables(
     later record lacks a journal or field, the earlier value is dropped, not
     inherited.  Same for repeated affiliation pub_ids.
     """
+    # one object per distinct value; strings and frozensets never compare equal
+    shared: dict = {}
+    share = shared.setdefault
     pub_to_journal: dict[str, str] = {}
     pub_to_field: dict[str, str] = {}
     seen_pubs: set[str] = set()
@@ -69,16 +75,22 @@ def build_link_tables(
         else:
             seen_pubs.add(rec.id)
         if rec.journal_id is not None:
-            pub_to_journal[rec.id] = rec.journal_id
+            pub_to_journal[rec.id] = share(rec.journal_id, rec.journal_id)
         if rec.field is not None:
-            pub_to_field[rec.id] = rec.field
+            pub_to_field[rec.id] = share(rec.field, rec.field)
 
     pub_to_institutions: dict[str, frozenset[str]] = {}
     affiliation_overwrites = 0
     for rec in affiliations:
         if rec.pub_id in pub_to_institutions:
             affiliation_overwrites += 1
-        pub_to_institutions[rec.pub_id] = rec.institution_ids
+        ids = rec.institution_ids
+        institutions = shared.get(ids)
+        if institutions is None:
+            # keyed by the rebuilt set, so the record's own strings are freed
+            institutions = frozenset(map(share, ids, ids))
+            shared[institutions] = institutions
+        pub_to_institutions[rec.pub_id] = institutions
 
     return LinkTables(
         pub_to_journal=pub_to_journal,

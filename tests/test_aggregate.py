@@ -407,6 +407,17 @@ class TestSerialization:
         with pytest.raises(DataError):
             load_store(io.StringIO(rows))
 
+    @pytest.mark.parametrize("labels", [(None, "Physics"), ("Physics", None)])
+    def test_mixed_per_field_and_plain_rejected(self, labels):
+        # the same institution plain and in a field would rank twice
+        tallies = {
+            EntityKey("institution", "I1", label): EntityTally(1, 0, 0, 1) for label in labels
+        }
+        text = dump_store(Store("institution", tallies))
+        with pytest.raises(DataError) as info:
+            load_store(io.StringIO(text))
+        assert str(info.value) == "<store>:2: mixed per-field and plain rows"
+
     def test_rows_after_diagnostics_rejected(self):
         rows = (
             '{"kind":"diagnostics"}\n'
@@ -431,12 +442,14 @@ class TestConsistency:
 # -- load_store against a literal oracle -------------------------------------
 #
 # The oracle is the row checker as it stood before load_store was rewritten
-# for speed: json.loads, isinstance checks, a counters dict.  Only the
-# duplicate-entity message differs from that code: it names the field label.
+# for speed: json.loads, isinstance checks, a counters dict.  Two things
+# differ from that code: the duplicate-entity message names the field label,
+# and a store mixing per-field and plain rows is rejected.
 
 
 def oracle_load_store(source, path="<store>"):
     store = Store(kind=None)
+    per_field = None
     saw_diagnostics = False
     for line_no, line in enumerate(source, start=1):
         if not line.strip():
@@ -477,6 +490,10 @@ def oracle_load_store(source, path="<store>"):
         label = row.get("field")
         if label is not None and (not isinstance(label, str) or not label):
             raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
+        if per_field is None:
+            per_field = label is not None
+        elif per_field != (label is not None):
+            raise DataError(f"{path}:{line_no}: mixed per-field and plain rows")
         counters = {}
         for name in ("supporting", "mentioning", "contrasting", "references"):
             value = row.get(name)
@@ -606,6 +623,13 @@ class TestLoadStoreMatchesOracle:
                 '{"kind":"journal","id":"J1","supporting":1,"mentioning":0,"contrasting":0,'
                 '"references":0}\n{"kind":"diagnostics"}\n',
                 id="same-id-other-field",
+            ),
+            pytest.param(
+                '{"kind":"institution","id":"I1","supporting":1,"mentioning":0,'
+                '"contrasting":0,"references":0}\n'
+                '{"kind":"institution","id":"I2","field":"Physics","supporting":1,'
+                '"mentioning":0,"contrasting":0,"references":0}\n{"kind":"diagnostics"}\n',
+                id="plain-then-per-field",
             ),
             pytest.param('{"kind":"diagnostics"}\n\n  \n', id="blank-after-diagnostics"),
             pytest.param('{"kind":"diagnostics"}\n{"kind":"diagnostics"}\n', id="two-diagnostics"),

@@ -352,6 +352,27 @@ class TestCorrelate:
         assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
         assert f"{scores}: not valid UTF-8" in capsys.readouterr().err
 
+    def test_repeated_id_exit_2_names_both_lines(self, tmp_path, capsys):
+        # keeping the last J2 would give r = 1.0 over two matches
+        tallies = {
+            EntityKey("journal", name): EntityTally(supporting, 0, 1, 10)
+            for name, supporting in (("J1", 1), ("J2", 2), ("J3", 3))
+        }
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_text(dump_store(Store("journal", tallies)), encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            '{"id": "J1", "value": 1}\n{"id": "J2", "value": 2}\n{"id": "J2", "value": 0}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "r.json"
+        args = ["correlate", str(store_path), "--scores", str(scores), "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {scores}:3: duplicate id 'J2', first on line 2" in captured.err
+        assert not out.exists()
+
     def test_degenerate_scores_exit_2(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
         assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
@@ -552,6 +573,23 @@ class TestExitCodes:
         extra = ["--scores", str(scores)] if command == "correlate" else []
         assert main([command, str(store_path), *extra]) == 2
         assert f"{store_path}: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rank", "fields"])
+    def test_mixed_per_field_and_plain_store_exit_2(self, tmp_path, capsys, command):
+        # I1 plain and I1 in Physics would be ranked twice
+        tallies = {
+            EntityKey("institution", "I1"): EntityTally(3, 0, 1, 10),
+            EntityKey("institution", "I1", "Physics"): EntityTally(1, 0, 1, 10),
+        }
+        store_path = tmp_path / "mixed.jsonl"
+        store_path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
+        out = tmp_path / "table.csv"
+        out.write_bytes(b"an earlier table\n")
+        assert main([command, str(store_path), "--format", "csv", "--out", str(out)]) == 2
+        assert out.read_bytes() == b"an earlier table\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {store_path}:2: mixed per-field and plain rows" in captured.err
 
     def test_unwritable_out_exit_3(self, corpus, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "store.jsonl"
