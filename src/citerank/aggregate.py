@@ -9,12 +9,12 @@ reference file twice does not double anyone's volume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .errors import ConfigError, DataError, ParseError
 from .ingest import ReferenceEvent, StatementRecord, _decode_line, _has_lone_surrogate
+from .ingest import _json_keys, _json_members
 from .linking import ENTITY_KINDS, EntityKey, LinkTables
 from .metrics import EntityTally
 
@@ -215,12 +215,12 @@ def count_statement_excess(store: Store) -> int:
 # One JSON object per line: entity rows sorted by (kind, id, field), then a
 # single trailing diagnostics row.  Sorting plus compact separators makes
 # equal stores serialize to identical bytes, which the determinism tests
-# lean on.
+# lean on.  A row is what ``json.dumps`` writes with those separators and
+# ``ensure_ascii=False``.
 
-
-# what json.dumps(row, separators=(",", ":"), ensure_ascii=False) writes,
-# without building an encoder per row
-_encode_row = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_COUNTERS = ("supporting", "mentioning", "contrasting", "references")
+_ROW_KEYS = _json_keys(("kind", "id", *_COUNTERS))
+_FIELD_ROW_KEYS = _json_keys(("kind", "id", "field", *_COUNTERS))
 
 
 def dump_store(store: Store) -> str:
@@ -228,17 +228,14 @@ def dump_store(store: Store) -> str:
     for key, tally in sorted(
         store.tallies.items(), key=lambda item: (item[0].kind, item[0].id, item[0].field or "")
     ):
-        row: dict = {"kind": key.kind, "id": key.id}
-        if key.field is not None:
-            row["field"] = key.field
-        row.update(
-            supporting=tally.supporting,
-            mentioning=tally.mentioning,
-            contrasting=tally.contrasting,
-            references=tally.references,
-        )
-        lines.append(_encode_row(row))
-    lines.append(_encode_row({"kind": DIAGNOSTICS_KIND, **store.diagnostics.as_dict()}))
+        counts = (tally.supporting, tally.mentioning, tally.contrasting, tally.references)
+        if key.field is None:
+            lines.append("{" + _json_members(_ROW_KEYS, (key.kind, key.id, *counts)) + "}")
+        else:
+            lines.append("{" + _json_members(_FIELD_ROW_KEYS, (*key, *counts)) + "}")
+    diagnostics = store.diagnostics.as_dict()
+    keys = _json_keys(("kind", *diagnostics))
+    lines.append("{" + _json_members(keys, (DIAGNOSTICS_KIND, *diagnostics.values())) + "}")
     return "\n".join(lines) + "\n"
 
 
@@ -319,7 +316,7 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
 def _counter_error(row: dict, path: str, line_no: int) -> DataError:
     """The message for the first counter of an entity row that is not a
     nonnegative integer."""
-    for name in ("supporting", "mentioning", "contrasting", "references"):
+    for name in _COUNTERS:
         value = row.get(name)
         if type(value) is not int or value < 0:
             return DataError(

@@ -22,7 +22,8 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from json.encoder import encode_basestring as _quote
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import ConfigError, ParseError
 
@@ -131,6 +132,23 @@ def _decode_line(line: str) -> object:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:  # arrays or objects nested past the stack
         raise ParseError("invalid JSON: nested too deeply") from exc
+
+
+def _json_keys(names: Iterable[str], colon: str = ":") -> tuple[str, ...]:
+    """Each name quoted and followed by ``colon``, once per table, not per row."""
+    return tuple(_quote(name) + colon for name in names)
+
+
+def _json_members(keys: tuple[str, ...], values: Iterable, comma: str = ",") -> str:
+    """The members of a flat JSON object of str, int, finite float and None
+    values, as ``json.dumps(..., ensure_ascii=False)`` writes them with the
+    same separators.  Store rows, json table rows and the ``dump_*`` lines
+    all come here."""
+    members = [
+        key + (_quote(value) if type(value) is str else "null" if value is None else repr(value))
+        for key, value in zip(keys, values)
+    ]
+    return comma.join(members)
 
 
 def _load_object(line: str) -> dict:
@@ -258,49 +276,30 @@ def parse_affiliation(line: str) -> AffiliationRecord:
 # Serialization mirrors parsing so record -> line -> record is the identity.
 # Keys are written in schema order and absent optionals are omitted.
 
+_STATEMENT_KEYS = _json_keys(("citing_id", "cited_id", "citing_year", "class"))
+_REFERENCE_KEYS = _json_keys(ReferenceEvent._fields)
+_PUBLICATION_KEYS = _json_keys(PublicationRecord._fields)
+_AFFILIATION_KEYS = _json_keys(AffiliationRecord._fields)
+
 
 def dump_statement(rec: StatementRecord) -> str:
-    return json.dumps(
-        {
-            "citing_id": rec.citing_id,
-            "cited_id": rec.cited_id,
-            "citing_year": rec.citing_year,
-            "class": rec.stance,
-        },
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
+    return "{" + _json_members(_STATEMENT_KEYS, rec) + "}"
 
 
 def dump_reference(rec: ReferenceEvent) -> str:
-    return json.dumps(
-        {
-            "citing_id": rec.citing_id,
-            "cited_id": rec.cited_id,
-            "citing_year": rec.citing_year,
-        },
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
+    return "{" + _json_members(_REFERENCE_KEYS, rec) + "}"
 
 
 def dump_publication(rec: PublicationRecord) -> str:
-    obj: dict = {"id": rec.id}
-    if rec.journal_id is not None:
-        obj["journal_id"] = rec.journal_id
-    if rec.field is not None:
-        obj["field"] = rec.field
-    if rec.year is not None:
-        obj["year"] = rec.year
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    present = [(key, value) for key, value in zip(_PUBLICATION_KEYS, rec) if value is not None]
+    return "{" + _json_members(*zip(*present)) + "}"
 
 
 def dump_affiliation(rec: AffiliationRecord) -> str:
-    return json.dumps(
-        {"pub_id": rec.pub_id, "institution_ids": sorted(rec.institution_ids)},
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
+    # the id array, the one value that is not a scalar, is quoted id by id
+    ids = ",".join(map(_quote, sorted(rec.institution_ids)))
+    pub_id_key, ids_key = _AFFILIATION_KEYS
+    return "{" + _json_members((pub_id_key,), (rec.pub_id,)) + "," + ids_key + "[" + ids + "]}"
 
 
 @dataclass(slots=True)

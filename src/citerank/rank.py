@@ -9,9 +9,7 @@ or in exactly one bucket of the exclusion report.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import sys
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -19,6 +17,7 @@ from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .aggregate import Store
 from .errors import ConfigError
+from .ingest import _json_keys, _json_members
 from .linking import EntityKey
 from .metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
 
@@ -271,8 +270,9 @@ def correlate(
 # markdown table is the human view and shows display strings only.
 #
 # Each table names its columns once, and csv and json write the same cells:
-# ``csv.writer`` writes a float as its repr and None as an empty field, and
-# the json encoder writes them as a number and null.
+# str, int, finite float or None.  csv writes a number as its repr and None
+# as an empty cell, and quotes a string holding a comma, a quote, CR or LF.
+# json writes ``json.dumps(rows, indent=2, ensure_ascii=False)`` and a newline.
 
 
 class _Table(NamedTuple):
@@ -282,11 +282,15 @@ class _Table(NamedTuple):
     md_cells: Callable[[Any], tuple[str, ...]]
 
 
-# ``json.dumps`` with an indent always runs the pure-Python encoder.  The
-# exported rows are flat objects, so the C encoder, with the indented item
-# separator, writes each one's members as the indented form would; a
-# literal newline never occurs inside an encoded string.
-_FLAT_OBJECT_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": "))
+def _csv_text(text: str) -> str:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(cells: Sequence) -> str:
+    texts = [_csv_text(v) if type(v) is str else "" if v is None else repr(v) for v in cells]
+    return ",".join(texts) + "\n"
 
 
 def _write_table(table: _Table, rows: Sequence, fmt: str, out: IO[str]) -> None:
@@ -295,18 +299,17 @@ def _write_table(table: _Table, rows: Sequence, fmt: str, out: IO[str]) -> None:
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(table.columns)
-        writer.writerows(map(table.cells, rows))
+        out.write(_csv_line(table.columns))
+        for row in rows:
+            out.write(_csv_line(table.cells(row)))
     elif fmt == "json":
-        # json.dumps(objects, indent=2, ensure_ascii=False) and a newline
         if not rows:
             out.write("[]\n")
             return
-        encode = _FLAT_OBJECT_ENCODER.encode
+        keys = _json_keys(table.columns, ": ")
         opening = "[\n  {\n    "
         for row in rows:
-            out.write(opening + encode(dict(zip(table.columns, table.cells(row))))[1:-1])
+            out.write(opening + _json_members(keys, table.cells(row), ",\n    "))
             opening = "\n  },\n  {\n    "
         out.write("\n  }\n]\n")
     else:

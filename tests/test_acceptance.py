@@ -45,6 +45,7 @@ from citerank.rank import RankSpec, correlate, rank_entities, round_display
 from published_rankings import (
     ALL_TABLES,
     INSTITUTIONS_BY_SI,
+    INSTITUTIONS_BY_USI,
     JOURNALS_BY_SI,
     USI_DISPLAY_ANOMALY,
 )
@@ -479,6 +480,29 @@ def test_criterion_10_golden_markdown(table, golden_name, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out_path.read_bytes() == (GOLDEN_DIR / golden_name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "table,golden_stem,metric",
+    [
+        (INSTITUTIONS_BY_SI, "institutions_by_si", "si"),
+        (JOURNALS_BY_SI, "journals_by_si", "si"),
+        (INSTITUTIONS_BY_USI, "institutions_by_usi", "usi"),  # holds a non-ASCII name
+    ],
+    ids=["institutions", "journals", "institutions_by_usi"],
+)
+def test_criterion_10_golden_store_csv_and_json(table, golden_stem, metric, tmp_path, capsys):
+    store_path = tmp_path / "store.jsonl"
+    store_path.write_text(dump_store(snapshot_store(table)), encoding="utf-8")
+    assert store_path.read_bytes() == (GOLDEN_DIR / f"{golden_stem}.store.jsonl").read_bytes()
+    for fmt in ("csv", "json"):
+        out_path = tmp_path / f"table.{fmt}"
+        code = main(
+            ["rank", str(store_path), "--by", metric, "--format", fmt, "--out", str(out_path)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert out_path.read_bytes() == (GOLDEN_DIR / f"{golden_stem}.{fmt}").read_bytes()
 
 
 def test_criterion_10_exit_codes(tmp_path, capsys):

@@ -322,6 +322,76 @@ class TestPerFieldGrouping:
         assert store.diagnostics.statements_unresolved == 1
 
 
+# lone surrogates included: dump_store never checks what it writes
+any_characters = st.characters(exclude_categories=())
+dump_texts = st.text(any_characters, min_size=1, max_size=12) | st.sampled_from(
+    [
+        'q"uote',
+        "back\\slash",
+        "ctl\x00\x1f\x7f",
+        "ls\u2028ps\u2029",
+        "astral\U0001f600",
+        "\ud800",
+        "lf\ncr\rcrlf\r\n",
+        "Rzesz\u00f3w",
+    ]
+)
+dump_counters = st.integers(0, 10**30)
+
+
+@st.composite
+def any_stores(draw):
+    """A plain or per-field store of one kind, with any ids, labels and counters."""
+    kind = draw(st.sampled_from(ENTITY_KINDS))
+    labels = dump_texts if draw(st.booleans()) else st.none()
+    tallies = draw(
+        st.dictionaries(
+            st.builds(EntityKey, st.just(kind), dump_texts, labels),
+            st.builds(EntityTally, *[dump_counters] * 4),
+            max_size=6,
+        )
+    )
+    diagnostics = Diagnostics(*[draw(dump_counters) for _ in fields(Diagnostics)])
+    return Store(kind, tallies, diagnostics)
+
+
+def oracle_dump_store(store):
+    def dumps(obj):
+        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+    lines = []
+    for key in sorted(store.tallies, key=lambda key: (key.kind, key.id, key.field or "")):
+        tally = store.tallies[key]
+        row = {"kind": key.kind, "id": key.id}
+        if key.field is not None:
+            row["field"] = key.field
+        row["supporting"] = tally.supporting
+        row["mentioning"] = tally.mentioning
+        row["contrasting"] = tally.contrasting
+        row["references"] = tally.references
+        lines.append(dumps(row))
+    diag = store.diagnostics
+    lines.append(
+        dumps(
+            {
+                "kind": "diagnostics",
+                "statements_seen": diag.statements_seen,
+                "statements_counted": diag.statements_counted,
+                "statements_out_of_window": diag.statements_out_of_window,
+                "statements_unresolved": diag.statements_unresolved,
+                "events_seen": diag.events_seen,
+                "events_counted": diag.events_counted,
+                "events_out_of_window": diag.events_out_of_window,
+                "events_unresolved": diag.events_unresolved,
+                "events_duplicate": diag.events_duplicate,
+                "out_of_window": diag.statements_out_of_window + diag.events_out_of_window,
+                "unresolved": diag.statements_unresolved + diag.events_unresolved,
+            }
+        )
+    )
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialization:
     def build(self):
         return fold(
@@ -417,6 +487,11 @@ class TestSerialization:
         with pytest.raises(DataError) as info:
             load_store(io.StringIO(text))
         assert str(info.value) == "<store>:2: mixed per-field and plain rows"
+
+    @settings(deadline=None)
+    @given(any_stores())
+    def test_dump_matches_json_dumps(self, store):
+        assert dump_store(store) == oracle_dump_store(store)
 
     def test_rows_after_diagnostics_rejected(self):
         rows = (

@@ -154,6 +154,53 @@ class TestRoundTrip:
         assert parse_affiliation(dump_affiliation(rec)) == rec
 
 
+# -- dumps against the standard library's encoder ------------------------------
+
+# lone surrogates included: a dump never checks what it writes
+any_characters = st.characters(exclude_categories=())
+dump_texts = st.text(any_characters, min_size=1, max_size=12) | st.sampled_from(
+    [
+        'q"uote',
+        "back\\slash",
+        "ctl\x00\x1f\x7f",
+        "ls\u2028ps\u2029",
+        "astral\U0001f600",
+        "\ud800",
+        "lf\ncr\rcrlf\r\n",
+    ]
+)
+dump_ints = st.integers(-(10**30), 10**30)
+
+
+def oracle_dumps(obj):
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
+class TestDumpsMatchJsonDumps:
+    @given(dump_texts, dump_texts, dump_ints, st.sampled_from(STANCE_CLASSES))
+    def test_statement(self, citing, cited, year, stance):
+        expected = oracle_dumps(
+            {"citing_id": citing, "cited_id": cited, "citing_year": year, "class": stance}
+        )
+        assert dump_statement(StatementRecord(citing, cited, year, stance)) == expected
+
+    @given(dump_texts, dump_texts, dump_ints)
+    def test_reference(self, citing, cited, year):
+        expected = oracle_dumps({"citing_id": citing, "cited_id": cited, "citing_year": year})
+        assert dump_reference(ReferenceEvent(citing, cited, year)) == expected
+
+    @given(dump_texts, st.none() | dump_texts, st.none() | dump_texts, st.none() | dump_ints)
+    def test_publication(self, pub, journal, field, year):
+        obj = {"id": pub, "journal_id": journal, "field": field, "year": year}
+        expected = oracle_dumps({key: value for key, value in obj.items() if value is not None})
+        assert dump_publication(PublicationRecord(pub, journal, field, year)) == expected
+
+    @given(dump_texts, st.frozensets(dump_texts, max_size=5))
+    def test_affiliation(self, pub, institutions):
+        expected = oracle_dumps({"pub_id": pub, "institution_ids": sorted(institutions)})
+        assert dump_affiliation(AffiliationRecord(pub, institutions)) == expected
+
+
 def _write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 

@@ -529,20 +529,20 @@ class TestExports:
 
 # -- exports against literal oracles ------------------------------------------
 
-export_texts = st.text(min_size=1, max_size=12) | st.sampled_from(
-    [
-        'q"uote',
-        "back\\slash",
-        "ctl\x00\x1f\x7f",
-        "ls\u2028ps\u2029",
-        "astral\U0001f600",
-        "pi|pe",
-        "\ud800",
-        "com,ma",
-        "lf\ncr\rcrlf\r\n",
-    ]
-)
-tallies = st.builds(EntityTally, *[st.integers(0, 10**12)] * 4)
+EXPORT_SAMPLES = [
+    'q"uote',
+    "back\\slash",
+    "ctl\x00\x1f\x7f",
+    "ls\u2028ps\u2029",
+    "astral\U0001f600",
+    "pi|pe",
+    "\ud800",
+    "com,ma",
+    "lf\ncr\rcrlf\r\n",
+    "bare\rcr",
+]
+export_texts = st.text(min_size=1, max_size=12) | st.sampled_from(EXPORT_SAMPLES)
+tallies = st.builds(EntityTally, *[st.integers(0, 10**30)] * 4)
 usi_values = st.floats(0.0, 1.0)
 # a huge --exponent drives si to any finite float; the display string of
 # each must still be exact
@@ -619,8 +619,10 @@ class TestJsonExportMatchesDumps:
 
 
 # The csv and markdown writers as they were before the exports shared one
-# table writer, kept as oracles.  The one edit: markdown cells also write
-# line breaks as <br>, so every row stays on one line.
+# table writer, kept as oracles.  The edits: markdown cells also write line
+# breaks as <br>, so every row stays on one line, and csv rows are written
+# with a CRLF terminator, so csv.writer quotes a cell holding a bare CR as
+# well as one holding LF, and then end in LF.
 
 ORACLE_RANK_CSV_HEADER = (
     "kind,id,supporting,mentioning,contrasting,references,"
@@ -636,27 +638,30 @@ def oracle_md_escape(text):
     return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 
-def oracle_rows_csv(rows):
+def oracle_csv_line(cells):
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(ORACLE_RANK_CSV_HEADER.split(","))
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue().removesuffix("\r\n") + "\n"
+
+
+def oracle_rows_csv(rows):
+    lines = [oracle_csv_line(ORACLE_RANK_CSV_HEADER.split(","))]
     for row in rows:
-        writer.writerow(
-            [
-                row.entity.kind,
-                row.entity.id,
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.tally.references,
-                repr(row.usi_exact),
-                "" if row.si_exact is None else repr(row.si_exact),
-                row.usi_display,
-                row.si_display,
-                row.rank,
-            ]
-        )
-    return buffer.getvalue()
+        cells = [
+            row.entity.kind,
+            row.entity.id,
+            row.tally.supporting,
+            row.tally.mentioning,
+            row.tally.contrasting,
+            row.tally.references,
+            repr(row.usi_exact),
+            "" if row.si_exact is None else repr(row.si_exact),
+            row.usi_display,
+            row.si_display,
+            row.rank,
+        ]
+        lines.append(oracle_csv_line(cells))
+    return "".join(lines)
 
 
 def oracle_rows_markdown(rows):
@@ -679,23 +684,20 @@ def oracle_rows_markdown(rows):
 
 
 def oracle_breakdown_csv(rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(ORACLE_BREAKDOWN_CSV_HEADER.split(","))
+    lines = [oracle_csv_line(ORACLE_BREAKDOWN_CSV_HEADER.split(","))]
     for row in rows:
-        writer.writerow(
-            [
-                row.institution.id,
-                row.field,
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.tally.references,
-                repr(row.usi_exact),
-                repr(row.si_exact),
-            ]
-        )
-    return buffer.getvalue()
+        cells = [
+            row.institution.id,
+            row.field,
+            row.tally.supporting,
+            row.tally.mentioning,
+            row.tally.contrasting,
+            row.tally.references,
+            repr(row.usi_exact),
+            repr(row.si_exact),
+        ]
+        lines.append(oracle_csv_line(cells))
+    return "".join(lines)
 
 
 def oracle_breakdown_markdown(rows):
@@ -739,6 +741,37 @@ class TestCsvAndMarkdownExportsMatchOracles:
     def test_headers_are_the_oracle_headers(self):
         assert RANK_CSV_HEADER == ORACLE_RANK_CSV_HEADER
         assert BREAKDOWN_CSV_HEADER == ORACLE_BREAKDOWN_CSV_HEADER
+
+
+def read_csv(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+class TestCsvReadsBack:
+    """A csv reader gets back every cell, whatever an id or label holds."""
+
+    @pytest.mark.parametrize("text", EXPORT_SAMPLES)
+    def test_rows(self, text):
+        rows = rank_entities(journal_store({text: (3, 0, 1, 50)}), RankSpec())[0]
+        row = rows[0]
+        assert read_csv(export_rows(rows, "csv")) == [
+            RANK_CSV_HEADER.split(","),
+            [
+                "journal", text, "3", "0", "1", "50", repr(row.usi_exact),
+                repr(row.si_exact), row.usi_display, row.si_display, "1",
+            ],
+        ]
+
+    @pytest.mark.parametrize("text", EXPORT_SAMPLES)
+    def test_breakdown(self, text):
+        store = store_of(
+            {EntityKey("institution", text, text): EntityTally(5, 0, 1, 50)}, kind="institution"
+        )
+        rows = field_breakdown(store)
+        assert read_csv(export_breakdown(rows, "csv")) == [
+            BREAKDOWN_CSV_HEADER.split(","),
+            [text, text, "5", "0", "1", "50", repr(rows[0].usi_exact), repr(rows[0].si_exact)],
+        ]
 
 
 # -- the handle path against the string exports -------------------------------
