@@ -244,6 +244,8 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
 
     The kind, and whether the store is per-field, are recovered from the
     rows; a store mixing either raises DataError, as does any other defect.
+    A defective row raises ParseError naming ``path`` and the line, as
+    ``stream`` does.
     """
     tallies: dict[EntityKey, EntityTally] = {}
     kind: str | None = None
@@ -252,87 +254,80 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     for line_no, line in enumerate(source, start=1):
         if not line.strip():
             continue
-        if diagnostics is not None:
-            raise DataError(f"{path}:{line_no}: rows after the diagnostics record")
         try:
+            if diagnostics is not None:
+                raise ParseError("rows after the diagnostics record")
             row = _decode_line(line)
+            if not isinstance(row, dict) or "kind" not in row:
+                raise ParseError("expected an object with a 'kind' key")
+            row_kind = row["kind"]
+            if row_kind == DIAGNOSTICS_KIND:
+                diagnostics = _load_diagnostics(row)
+                continue
+            if row_kind not in ENTITY_KINDS:
+                raise ParseError(f"unknown entity kind {row_kind!r}")
+            if kind is None:
+                kind = row_kind
+            elif row_kind != kind:
+                raise ParseError(f"mixed entity kinds {kind!r} and {row_kind!r}")
+            entity_id = row.get("id")
+            if type(entity_id) is not str or not entity_id:
+                raise ParseError("'id' must be a nonempty string")
+            label = row.get("field")
+            if label is not None and (type(label) is not str or not label):
+                raise ParseError("'field' must be a nonempty string")
+            if _has_lone_surrogate(entity_id):
+                raise ParseError("'id' holds a lone surrogate")
+            if label is not None and _has_lone_surrogate(label):
+                raise ParseError("'field' holds a lone surrogate")
+            if per_field is None:
+                per_field = label is not None
+            elif (label is not None) is not per_field:
+                raise ParseError("mixed per-field and plain rows")
+            # JSON yields exact types, so ``type(x) is int`` excludes bools;
+            # EntityTally rejects a negative counter
+            supporting = row.get("supporting")
+            mentioning = row.get("mentioning")
+            contrasting = row.get("contrasting")
+            references = row.get("references")
+            if not (
+                type(supporting) is int
+                and type(mentioning) is int
+                and type(contrasting) is int
+                and type(references) is int
+            ):
+                raise _counter_error(row)
+            try:
+                tally = EntityTally(supporting, mentioning, contrasting, references)
+            except ValueError:
+                raise _counter_error(row) from None
+            if tallies.setdefault(EntityKey(kind, entity_id, label), tally) is not tally:
+                where = "" if label is None else f" in field {label!r}"
+                raise ParseError(f"duplicate entity {kind}/{entity_id}{where}")
         except ParseError as exc:
-            raise DataError(f"{path}:{line_no}: {exc.message}") from exc
-        if not isinstance(row, dict) or "kind" not in row:
-            raise DataError(f"{path}:{line_no}: expected an object with a 'kind' key")
-        row_kind = row["kind"]
-        if row_kind == DIAGNOSTICS_KIND:
-            diagnostics = _load_diagnostics(row, path, line_no)
-            continue
-        if row_kind not in ENTITY_KINDS:
-            raise DataError(f"{path}:{line_no}: unknown entity kind {row_kind!r}")
-        if kind is None:
-            kind = row_kind
-        elif row_kind != kind:
-            raise DataError(
-                f"{path}:{line_no}: mixed entity kinds {kind!r} and {row_kind!r}"
-            )
-        entity_id = row.get("id")
-        if type(entity_id) is not str or not entity_id:
-            raise DataError(f"{path}:{line_no}: 'id' must be a nonempty string")
-        label = row.get("field")
-        if label is not None and (type(label) is not str or not label):
-            raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
-        if _has_lone_surrogate(entity_id):
-            raise DataError(f"{path}:{line_no}: 'id' holds a lone surrogate")
-        if label is not None and _has_lone_surrogate(label):
-            raise DataError(f"{path}:{line_no}: 'field' holds a lone surrogate")
-        if per_field is None:
-            per_field = label is not None
-        elif (label is not None) is not per_field:
-            raise DataError(f"{path}:{line_no}: mixed per-field and plain rows")
-        # JSON yields exact types, so ``type(x) is int`` excludes bools;
-        # EntityTally rejects a negative counter
-        supporting = row.get("supporting")
-        mentioning = row.get("mentioning")
-        contrasting = row.get("contrasting")
-        references = row.get("references")
-        if not (
-            type(supporting) is int
-            and type(mentioning) is int
-            and type(contrasting) is int
-            and type(references) is int
-        ):
-            raise _counter_error(row, path, line_no)
-        try:
-            tally = EntityTally(supporting, mentioning, contrasting, references)
-        except ValueError:
-            raise _counter_error(row, path, line_no) from None
-        if tallies.setdefault(EntityKey(kind, entity_id, label), tally) is not tally:
-            where = "" if label is None else f" in field {label!r}"
-            raise DataError(
-                f"{path}:{line_no}: duplicate entity {kind}/{entity_id}{where}"
-            )
+            raise ParseError(exc.message, path=path, line_no=line_no) from exc
     if diagnostics is None:
         raise DataError(f"{path}: missing trailing diagnostics record")
     return Store(kind, tallies, diagnostics)
 
 
-def _counter_error(row: dict, path: str, line_no: int) -> DataError:
+def _counter_error(row: dict) -> ParseError:
     """The message for the first counter of an entity row that is not a
     nonnegative integer."""
     for name in _COUNTERS:
         value = row.get(name)
         if type(value) is not int or value < 0:
-            return DataError(
-                f"{path}:{line_no}: {name!r} must be a nonnegative integer, got {value!r}"
-            )
+            return ParseError(f"{name!r} must be a nonnegative integer, got {value!r}")
     raise AssertionError("every counter is a nonnegative integer")
 
 
-def _load_diagnostics(row: dict, path: str, line_no: int) -> Diagnostics:
+def _load_diagnostics(row: dict) -> Diagnostics:
     diag = Diagnostics()
     for spec in fields(Diagnostics):
         value = row.get(spec.name, 0)
         if type(value) is not int or value < 0:
-            raise DataError(
-                f"{path}:{line_no}: diagnostics {spec.name!r} must be a "
-                f"nonnegative integer, got {value!r}"
+            raise ParseError(
+                f"diagnostics {spec.name!r} must be a nonnegative integer, got {value!r}"
             )
         setattr(diag, spec.name, value)
     return diag

@@ -34,10 +34,10 @@ from .aggregate import (
 from .errors import ConfigError, DataError, ParseError
 from .ingest import (
     SkipReport,
-    _decode_line,
     parse_affiliation,
     parse_publication,
     parse_reference,
+    parse_score,
     parse_statement,
     stream,
 )
@@ -306,62 +306,23 @@ def _si_config(resolved: dict[str, object]) -> SiConfig:
     )
 
 
-@contextmanager
-def _open_utf8(path: str) -> Iterator[IO[str]]:
-    """Open a store or scores file; bytes that are not UTF-8 are a data error."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not valid UTF-8: {exc.reason}") from exc
-
-
 def _load_store_file(path: str) -> Store:
-    with _open_utf8(path) as handle:
-        return load_store(handle, path=path)
+    return load_store(stream(path, str), path)
 
 
 def _read_scores(path: str) -> dict[str, float]:
     """External per-entity scores: one {"id", "value"} object per line,
     each id once."""
     scores: dict[str, float] = {}
-    with _open_utf8(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                obj = _decode_line(line)
-            except ParseError as exc:
-                raise ParseError(exc.message, path=path, line_no=line_no) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected an object", path=path, line_no=line_no)
-            entity_id = obj.get("id")
-            value = obj.get("value")
-            if not isinstance(entity_id, str) or not entity_id:
-                raise ParseError(
-                    "key 'id' must be a nonempty string", path=path, line_no=line_no
-                )
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(
-                    "key 'value' must be a number", path=path, line_no=line_no
-                )
-            # json.loads reads NaN and Infinity, turns 1e999 into inf, and
-            # keeps integers too large for a float
-            try:
-                number = float(value)
-            except OverflowError:
-                number = math.inf
-            if not math.isfinite(number):
-                raise ParseError(
-                    "key 'value' must be a finite number", path=path, line_no=line_no
-                )
-            if entity_id in scores:
-                # every earlier line added one id, in file order
-                first = list(scores).index(entity_id) + 1
-                raise ParseError(
-                    f"duplicate id {entity_id!r}, first on line {first}",
-                    path=path,
-                    line_no=line_no,
-                )
-            scores[entity_id] = number
+    # strict mode yields one record per line, so records count lines
+    for line_no, (entity_id, number) in enumerate(stream(path, parse_score), start=1):
+        if entity_id in scores:
+            # every earlier line added one id, in file order
+            first = list(scores).index(entity_id) + 1
+            raise ParseError(
+                f"duplicate id {entity_id!r}, first on line {first}", path=path, line_no=line_no
+            )
+        scores[entity_id] = number
     return scores
 
 

@@ -34,6 +34,4 @@ class ParseError(DataError):
     def __str__(self) -> str:
         if self.path is not None and self.line_no is not None:
             return f"{self.path}:{self.line_no}: {self.message}"
-        if self.line_no is not None:
-            return f"line {self.line_no}: {self.message}"
         return self.message

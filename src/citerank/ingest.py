@@ -1,6 +1,6 @@
-"""Parsing for the four newline-delimited JSON input streams.
+"""Parsing for the newline-delimited JSON files citerank reads.
 
-One JSON object per line.  The streams are:
+One JSON object per line.  The four input streams are:
 
 * statements: classified citation statements
   ``{"citing_id", "cited_id", "citing_year", "class"}``
@@ -9,6 +9,10 @@ One JSON object per line.  The streams are:
 * publications: metadata linking a publication to a journal and a field
   ``{"id", "journal_id"?, "field"?, "year"?}``
 * affiliations: ``{"pub_id", "institution_ids"}``
+
+``correlate`` reads external scores, ``{"id", "value"}``, through
+``parse_score``, and ``aggregate.load_store`` reads a store from the lines
+``stream`` yields.
 
 Reading is streaming: ``stream`` consumes a file line by line and never
 holds more than one record, so memory use is independent of file size.
@@ -19,6 +23,7 @@ required keys are parse errors.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -39,6 +44,7 @@ __all__ = [
     "parse_reference",
     "parse_publication",
     "parse_affiliation",
+    "parse_score",
     "dump_statement",
     "dump_reference",
     "dump_publication",
@@ -112,8 +118,8 @@ _LINE_ENDS = ("", "\n", "\r\n")
 def _decode_line(line: str) -> object:
     """The JSON value of one line, as ``json.loads`` reads it.
 
-    Every defect raises ParseError without a location, so the stream, the
-    store reader and the scores reader each add their own.
+    Every defect raises ParseError without a location; only ``stream`` and
+    ``aggregate.load_store`` add one.
     """
     # One scan from the first character covers a well-formed line; anything
     # else (leading whitespace, trailing data, a BOM, a defect) goes through
@@ -273,6 +279,29 @@ def parse_affiliation(line: str) -> AffiliationRecord:
     return AffiliationRecord(pub_id, frozenset(raw))
 
 
+def parse_score(line: str) -> tuple[str, float]:
+    """Parse one external score line into (id, finite value); raises
+    ParseError on any defect."""
+    obj = _decode_line(line)
+    if not isinstance(obj, dict):
+        raise ParseError("expected an object")
+    entity_id = obj.get("id")
+    value = obj.get("value")
+    if not isinstance(entity_id, str) or not entity_id:
+        raise ParseError("key 'id' must be a nonempty string")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError("key 'value' must be a number")
+    # json.loads reads NaN and Infinity, turns 1e999 into inf, and keeps
+    # integers too large for a float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError("key 'value' must be a finite number")
+    return entity_id, number
+
+
 # Serialization mirrors parsing so record -> line -> record is the identity.
 # Keys are written in schema order and absent optionals are omitted.
 
@@ -329,9 +358,11 @@ def stream(
     Every line becomes exactly one of: a yielded record, a raised ParseError
     (strict), or a counted skip (lenient).  Strict mode stops at the first
     bad line and names the file and line number; lenient mode keeps going
-    and tallies defects into ``report`` if one is given.  A line that is not
-    valid UTF-8 is a bad line like any other: the file is read as bytes and
-    decoded one line at a time, so one bad byte costs one line, not the run.
+    and tallies defects into ``report`` if one is given.  A line ends at LF,
+    so a CRLF line keeps its CR for the parser and a bare CR ends no line.
+    A line that is not valid UTF-8 is a bad line like any other: the file
+    is read as bytes and decoded one line at a time, so one bad byte costs
+    one line, not the run.
 
     An unreadable path raises OSError from open(), untouched.
     """

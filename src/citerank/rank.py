@@ -142,12 +142,15 @@ def rank_entities(
     min_references are excluded and counted, entities whose chosen metric is
     undefined are excluded and counted, and with top_k the tail beyond k is
     counted too.  Output order is exact metric descending, then entity id
-    ascending (then field label, for per-field stores).
+    ascending.  A per-field store would rank an id once per field, so it is
+    rejected.
     """
     if spec.kind is not None and store.kind is not None and spec.kind != store.kind:
         raise ConfigError(
             f"spec expects kind {spec.kind!r} but store holds {store.kind!r}"
         )
+    if any(key.field is not None for key in store.tallies):
+        raise ConfigError("store has per-field grouping; rank needs a plain store")
     report = ExclusionReport()
     scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
     for key, tally in store.tallies.items():
@@ -164,7 +167,7 @@ def rank_entities(
             continue
         scored.append((metric_value, key, tally, usi_value, si_value))
 
-    scored.sort(key=lambda item: (-item[0], item[1].id, item[1].field or ""))
+    scored.sort(key=lambda item: (-item[0], item[1].id))
     if spec.top_k is not None and len(scored) > spec.top_k:
         report.beyond_top_k = len(scored) - spec.top_k
         scored = scored[: spec.top_k]

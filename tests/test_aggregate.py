@@ -657,7 +657,8 @@ def diagnostics_rows(draw):
 def store_texts(draw):
     """A store file: mostly entity rows of one kind, then a diagnostics row,
     with now and then a blank or broken line, a stray diagnostics row, a BOM,
-    whitespace or trailing data."""
+    whitespace, trailing data or a bare CR, which ends no line, between two
+    rows."""
     kind = draw(st.sampled_from(ENTITY_KINDS))
     by_field = draw(st.booleans())
     row = mostly(
@@ -675,7 +676,7 @@ def store_texts(draw):
         for line in lines
     ]
     ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
-    return "".join(line + ending for line in lines)
+    return "".join(line + draw(mostly(st.just(ending), st.just("\r"))) for line in lines)
 
 
 class TestLoadStoreMatchesOracle:

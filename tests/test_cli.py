@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 import citerank
 from citerank.aggregate import Store, dump_store, load_store
 from citerank.cli import main
+from citerank.errors import ConfigError, DataError
 from citerank.linking import EntityKey
 from citerank.metrics import EntityTally
-from citerank.rank import BREAKDOWN_CSV_HEADER, FORMATS
+from citerank.rank import BREAKDOWN_CSV_HEADER, FORMATS, RankSpec, export_rows, rank_entities
+from test_aggregate import store_texts
 
 PUBS = [
     '{"id": "W1", "journal_id": "J1", "field": "Physics"}',
@@ -219,6 +221,19 @@ class TestRankPipeline:
         assert code == 1
         assert "institution" in captured.err
 
+    def test_per_field_store_exit_1(self, corpus, tmp_path, capsys):
+        # I1 in Maths and I1 in Physics would be ranked twice, with no field column
+        store_path = tmp_path / "grouped.jsonl"
+        args = aggregate_args(corpus, "--entity", "institution", "--group-by-field")
+        assert main([*args, "--out", str(store_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "table.csv"
+        assert main(["rank", str(store_path), "--format", "csv", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: store has per-field grouping; rank needs a plain store" in captured.err
+        assert not out.exists()
+
 
 class TestFields:
     def test_breakdown_from_grouped_store(self, corpus, tmp_path, capsys):
@@ -262,17 +277,25 @@ class TestFields:
 
 class TestOutFile:
     @pytest.fixture
-    def grouped_store(self, corpus, tmp_path, capsys):
-        path = tmp_path / "grouped.jsonl"
-        args = aggregate_args(corpus, "--entity", "institution", "--group-by-field")
-        assert main([*args, "--out", str(path)]) == 0
+    def stores(self, corpus, tmp_path, capsys):
+        """An institution store for each command, plain for rank and
+        per-field for fields, from a corpus in which W1 also credits I3 so
+        that each table has at least three rows."""
+        affiliations = tmp_path / "affiliations_i3.jsonl"
+        affiliations.write_text(
+            AFFILS[0].replace('"I2"', '"I2", "I3"') + "\n" + AFFILS[1] + "\n", encoding="utf-8"
+        )
+        args = aggregate_args(dict(corpus, affiliations=str(affiliations)), "--entity", "institution")
+        paths = {"rank": tmp_path / "plain.jsonl", "fields": tmp_path / "grouped.jsonl"}
+        assert main([*args, "--out", str(paths["rank"])]) == 0
+        assert main([*args, "--group-by-field", "--out", str(paths["fields"])]) == 0
         capsys.readouterr()
-        return path
+        return paths
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("command", ["rank", "fields"])
-    def test_out_file_holds_the_stdout_bytes(self, grouped_store, tmp_path, capsys, command, fmt):
-        args = [command, str(grouped_store), "--format", fmt]
+    def test_out_file_holds_the_stdout_bytes(self, stores, tmp_path, capsys, command, fmt):
+        args = [command, str(stores[command]), "--format", fmt]
         assert main(args) == 0
         stdout = capsys.readouterr().out
         assert stdout.count("\n") > 3
@@ -282,13 +305,14 @@ class TestOutFile:
         assert out.read_bytes() == stdout.encode("utf-8")
 
     @pytest.mark.parametrize("command", ["rank", "fields"])
-    def test_out_may_be_the_store_itself(self, grouped_store, capsys, command):
+    def test_out_may_be_the_store_itself(self, stores, capsys, command):
         # the store is read whole before --out is opened
-        args = [command, str(grouped_store), "--format", "csv"]
+        store = stores[command]
+        args = [command, str(store), "--format", "csv"]
         assert main(args) == 0
         stdout = capsys.readouterr().out
-        assert main([*args, "--out", str(grouped_store)]) == 0
-        assert grouped_store.read_bytes() == stdout.encode("utf-8")
+        assert main([*args, "--out", str(store)]) == 0
+        assert store.read_bytes() == stdout.encode("utf-8")
 
 
 class TestCorrelate:
@@ -350,7 +374,7 @@ class TestCorrelate:
         scores.write_bytes(b'{"id": "J1", "value": 0.5}\n\xff\n')
         capsys.readouterr()
         assert main(["correlate", str(store_path), "--scores", str(scores)]) == 2
-        assert f"{scores}: not valid UTF-8" in capsys.readouterr().err
+        assert f"{scores}:2: invalid UTF-8" in capsys.readouterr().err
 
     def test_repeated_id_exit_2_names_both_lines(self, tmp_path, capsys):
         # keeping the last J2 would give r = 1.0 over two matches
@@ -572,7 +596,7 @@ class TestExitCodes:
         scores.write_text('{"id": "J1", "value": 0.5}\n', encoding="utf-8")
         extra = ["--scores", str(scores)] if command == "correlate" else []
         assert main([command, str(store_path), *extra]) == 2
-        assert f"{store_path}: not valid UTF-8" in capsys.readouterr().err
+        assert f"{store_path}:1: invalid UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["rank", "fields"])
     def test_mixed_per_field_and_plain_store_exit_2(self, tmp_path, capsys, command):
@@ -606,33 +630,36 @@ class TestExitCodes:
 
 class TestExtremeScores:
     @pytest.fixture
-    def store_path(self, tmp_path):
-        # A's usi is 0.001, whose log times 1e308 leaves the float range
-        path = tmp_path / "store.jsonl"
-        tallies = {
-            EntityKey("institution", "A", "Physics"): EntityTally(1, 0, 999, 1000),
-            EntityKey("institution", "B", "Physics"): EntityTally(5, 1, 5, 40),
-        }
-        path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
-        return str(path)
+    def stores(self, tmp_path):
+        """The same two tallies as a plain store for rank and in one field
+        for fields; A's usi is 0.001, whose log times 1e308 leaves the float
+        range."""
+        counts = {"A": EntityTally(1, 0, 999, 1000), "B": EntityTally(5, 1, 5, 40)}
+        paths = {}
+        for command, label in (("rank", None), ("fields", "Physics")):
+            tallies = {EntityKey("institution", name, label): tally for name, tally in counts.items()}
+            path = tmp_path / f"{command}.store.jsonl"
+            path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
+            paths[command] = str(path)
+        return paths
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_scores_past_28_digits_display(self, store_path, capsys, fmt):
-        assert main(["rank", store_path, "--exponent", "1e30", "--format", fmt]) == 0
+    def test_scores_past_28_digits_display(self, stores, capsys, fmt):
+        assert main(["rank", stores["rank"], "--exponent", "1e30", "--format", fmt]) == 0
         assert "30102999566398" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("command", ["rank", "fields"])
-    def test_infinite_score_exit_2(self, store_path, capsys, command, fmt):
-        assert main([command, store_path, "--exponent", "1e308", "--format", fmt]) == 2
+    def test_infinite_score_exit_2(self, stores, capsys, command, fmt):
+        assert main([command, stores[command], "--exponent", "1e308", "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: si is not finite (-inf)" in captured.err
 
     @pytest.mark.parametrize("command", ["rank", "fields"])
-    def test_failed_run_leaves_out_untouched(self, store_path, tmp_path, capsys, command):
+    def test_failed_run_leaves_out_untouched(self, stores, tmp_path, capsys, command):
         out = tmp_path / "table.out"
-        args = [command, store_path, "--exponent", "1e308", "--out", str(out)]
+        args = [command, stores[command], "--exponent", "1e308", "--out", str(out)]
         out.write_bytes(b"an earlier table\n")
         assert main(args) == 2
         assert out.read_bytes() == b"an earlier table\n"
@@ -717,10 +744,12 @@ class TestLoneSurrogates:
 
     @pytest.mark.parametrize("command", ["rank", "fields"])
     def test_escaped_pair_is_one_astral_character(self, tmp_path, capsys, command):
+        # rank reads a plain store, fields a per-field one
+        label = '"field":"P\\ud83d\\ude00",' if command == "fields" else ""
         store = tmp_path / "store.jsonl"
         store.write_text(
-            '{"kind":"institution","id":"I\\ud83d\\ude00","field":"P\\ud83d\\ude00",'
-            '"supporting":1,"mentioning":0,"contrasting":0,"references":1}\n'
+            '{"kind":"institution","id":"I\\ud83d\\ude00",' + label
+            + '"supporting":1,"mentioning":0,"contrasting":0,"references":1}\n'
             '{"kind":"diagnostics"}\n',
             encoding="utf-8",
         )
@@ -740,11 +769,12 @@ class TestHashSeed:
             encoding="utf-8",
         )
         corpus["affiliations"] = str(affiliations)
-        aggregate = aggregate_args(corpus, "--group-by-field", "--mode", "lenient")
+        aggregate = aggregate_args(corpus, "--mode", "lenient")
         aggregate[aggregate.index("--entity") + 1] = "institution"
         commands = [
-            [*aggregate, "--out", "store.jsonl"],
-            ["rank", "store.jsonl", "--format", "json"],
+            [*aggregate, "--group-by-field", "--out", "store.jsonl"],
+            [*aggregate, "--out", "plain.jsonl"],
+            ["rank", "plain.jsonl", "--format", "json"],
             ["fields", "store.jsonl", "--format", "csv"],
         ]
         src = str(Path(citerank.__file__).resolve().parent.parent)
@@ -760,12 +790,11 @@ class TestHashSeed:
                 )
                 for args in commands
             ]
-            assert [run.returncode for run in runs] == [0, 0, 0], runs
-            results.append(
-                ([(run.stdout, run.stderr) for run in runs], (cwd / "store.jsonl").read_bytes())
-            )
+            assert [run.returncode for run in runs] == [0, 0, 0, 0], runs
+            stores = [(cwd / name).read_bytes() for name in ("store.jsonl", "plain.jsonl")]
+            results.append(([(run.stdout, run.stderr) for run in runs], stores))
         assert results[0] == results[1]
-        assert b"I8" in results[0][1]
+        assert all(b"I8" in store for store in results[0][1])
 
 
 class TestConfigFile:
@@ -1019,3 +1048,33 @@ class TestReadSideFuzz:
             with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
                 code = main(args)
             assert code in (0, 1, 2, 3), args
+
+
+# -- the CLI reads a store as the library does ------------------------------
+
+# rows joined by a bare CR are one line, whose trailing data is a defect
+BARE_CR_STORE = (
+    '{"kind":"journal","id":"J1","supporting":1,"mentioning":0,"contrasting":1,'
+    '"references":2}\r{"kind":"diagnostics"}\n'
+)
+
+
+class TestStoreReadMatchesLibrary:
+    @settings(max_examples=300, deadline=None)
+    @given(store_texts())
+    @example(text=BARE_CR_STORE)
+    def test_rank_csv_matches_load_store(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("store") / "store.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            rows, _ = rank_entities(load_store(io.StringIO(text), str(path)), RankSpec())
+        except ConfigError as exc:  # a per-field store
+            expected = (1, "", f"error: {exc}\n")
+        except DataError as exc:
+            expected = (2, "", f"error: {exc}\n")
+        else:
+            expected = (0, export_rows(rows, "csv"), None)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["rank", str(path), "--format", "csv"])
+        assert (code, out.getvalue(), err.getvalue() if code else None) == expected
