@@ -50,6 +50,7 @@ from .rank import (
     correlate,
     field_breakdown,
     rank_entities,
+    require_plain_store,
     write_breakdown,
     write_rows,
 )
@@ -386,6 +387,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         top_k=None if resolved["top"] is None else int(resolved["top"]),
         si_config=_si_config(resolved),
     )
+    require_plain_store(store, "rank")
     rows, report = rank_entities(store, spec)
     with _output(resolved["out"]) as out:
         write_rows(rows, str(resolved["format"]), out)

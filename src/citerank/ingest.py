@@ -44,7 +44,6 @@ __all__ = [
     "parse_reference",
     "parse_publication",
     "parse_affiliation",
-    "parse_score",
     "dump_statement",
     "dump_reference",
     "dump_publication",

@@ -133,6 +133,13 @@ def _scores(tally: EntityTally, si_config: SiConfig) -> tuple[float | None, floa
     return usi_value, si(tally.references, usi_value, si_config)
 
 
+def require_plain_store(store: Store, command: str) -> None:
+    """Raise ConfigError if the store has field-labelled keys, which would
+    give ``command`` each id once per field."""
+    if any(key.field is not None for key in store.tallies):
+        raise ConfigError(f"store has per-field grouping; {command} needs a plain store")
+
+
 def rank_entities(
     store: Store, spec: RankSpec
 ) -> tuple[list[RankedRow], ExclusionReport]:
@@ -142,15 +149,12 @@ def rank_entities(
     min_references are excluded and counted, entities whose chosen metric is
     undefined are excluded and counted, and with top_k the tail beyond k is
     counted too.  Output order is exact metric descending, then entity id
-    ascending.  A per-field store would rank an id once per field, so it is
-    rejected.
+    ascending (then field label, for per-field stores).
     """
     if spec.kind is not None and store.kind is not None and spec.kind != store.kind:
         raise ConfigError(
             f"spec expects kind {spec.kind!r} but store holds {store.kind!r}"
         )
-    if any(key.field is not None for key in store.tallies):
-        raise ConfigError("store has per-field grouping; rank needs a plain store")
     report = ExclusionReport()
     scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
     for key, tally in store.tallies.items():
@@ -167,7 +171,7 @@ def rank_entities(
             continue
         scored.append((metric_value, key, tally, usi_value, si_value))
 
-    scored.sort(key=lambda item: (-item[0], item[1].id))
+    scored.sort(key=lambda item: (-item[0], item[1].id, item[1].field or ""))
     if spec.top_k is not None and len(scored) > spec.top_k:
         report.beyond_top_k = len(scored) - spec.top_k
         scored = scored[: spec.top_k]
@@ -241,8 +245,7 @@ def correlate(
     """
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
-    if any(key.field is not None for key in store.tallies):
-        raise ConfigError("store has per-field grouping; correlate needs a plain store")
+    require_plain_store(store, "correlate")
     matched: list[tuple[float, str, float]] = []
     defined = 0
     for key, tally in store.tallies.items():

@@ -17,7 +17,14 @@ from citerank.cli import main
 from citerank.errors import ConfigError, DataError
 from citerank.linking import EntityKey
 from citerank.metrics import EntityTally
-from citerank.rank import BREAKDOWN_CSV_HEADER, FORMATS, RankSpec, export_rows, rank_entities
+from citerank.rank import (
+    BREAKDOWN_CSV_HEADER,
+    FORMATS,
+    RankSpec,
+    export_rows,
+    rank_entities,
+    require_plain_store,
+)
 from test_aggregate import store_texts
 
 PUBS = [
@@ -1067,7 +1074,9 @@ class TestStoreReadMatchesLibrary:
         path = tmp_path_factory.mktemp("store") / "store.jsonl"
         path.write_bytes(text.encode("utf-8"))
         try:
-            rows, _ = rank_entities(load_store(io.StringIO(text), str(path)), RankSpec())
+            store = load_store(io.StringIO(text), str(path))
+            require_plain_store(store, "rank")
+            rows, _ = rank_entities(store, RankSpec())
         except ConfigError as exc:  # a per-field store
             expected = (1, "", f"error: {exc}\n")
         except DataError as exc:

@@ -206,18 +206,6 @@ class TestRankEntities:
             with pytest.raises(DataError, match="si is not finite"):
                 rank_entities(store, RankSpec(metric=metric, si_config=spec.si_config))
 
-    def test_per_field_store_rejected(self):
-        # I1 would take two ranks, one per field, with no field to tell them apart
-        store = store_of(
-            {
-                EntityKey("institution", "I1", label): EntityTally(3, 0, 1, 10)
-                for label in ("Maths", "Physics")
-            },
-            kind="institution",
-        )
-        with pytest.raises(ConfigError, match="per-field grouping"):
-            rank_entities(store, RankSpec())
-
     def test_custom_si_config_changes_scores_not_contract(self):
         store = journal_store({"A": (90, 0, 10, 1000)})
         natural = rank_entities(
