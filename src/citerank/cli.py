@@ -6,8 +6,11 @@ record per line so they survive piping the table somewhere else.
 
 Option values resolve in precedence order: explicit flag, then config file
 (--config or the CITERANK_CONFIG environment variable), then built-in
-default.  The config file is flat ``key = value`` lines whose keys mirror
-the long flag names without the dashes in front.
+default.  OPTIONS lists each option once; its name is both the long flag
+and the config key.  A config file holds ``key = value`` lines and ``#``
+comments, and a line ends only at LF, CRLF or CR.  One file may hold every
+command's keys: a command converts only the keys it uses.  Relative paths
+resolve against the working directory.
 
 Exit codes: 0 success, 1 usage or configuration, 2 data, 3 I/O.
 """
@@ -20,7 +23,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import IO, Callable, Iterator, Sequence
 
 from .aggregate import (
@@ -82,18 +85,14 @@ def _to_int(raw: str) -> int:
         raise ValueError(f"not an integer: {raw!r}") from None
 
 
-def _to_nonneg(raw: str) -> int:
-    value = _to_int(raw)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
-    return value
+def _to_int_from(low: int) -> Callable[[str], int]:
+    def convert(raw: str) -> int:
+        value = _to_int(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
 
-
-def _to_pos(raw: str) -> int:
-    value = _to_int(raw)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
+    return convert
 
 
 def _to_finite_above(raw: str, bound: int, not_a_number: str) -> float:
@@ -136,89 +135,54 @@ def _to_choice(*choices: str) -> Callable[[str], str]:
     return convert
 
 
-@dataclass(frozen=True)
-class Opt:
-    """One resolvable option: flag, config key, conversion, default."""
-
-    name: str
-    convert: Callable[[str], object]
-    default: object = None
-    help: str = ""
-    is_flag: bool = False
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
-
-OPT_STATEMENTS = Opt("statements", str, help="classified statement stream (NDJSON)")
-OPT_REFERENCES = Opt("references", str, help="reference event stream (NDJSON)")
-OPT_PUBS = Opt("pubs", str, help="publication metadata stream (NDJSON)")
-OPT_AFFILIATIONS = Opt("affiliations", str, help="affiliation stream (NDJSON)")
-OPT_FROM_YEAR = Opt("from-year", _to_int, default=2024, help="window start, citing year")
-OPT_TO_YEAR = Opt("to-year", _to_int, default=2024, help="window end, citing year")
-OPT_ENTITY = Opt(
-    "entity", _to_choice(*ENTITY_KINDS), help="entity kind to tally or expect"
-)
-OPT_GROUP_BY_FIELD = Opt(
-    "group-by-field",
-    _to_bool,
-    default=False,
-    help="keep one tally per (entity, field) pair",
-    is_flag=True,
-)
-OPT_BY = Opt("by", _to_choice(*METRICS), default="si", help="ranking metric")
-OPT_EXPONENT = Opt("exponent", _to_exponent, default=2.0, help="stance-quality exponent")
-OPT_LOG_BASE = Opt(
-    "log-base", _to_log_base, default=10.0, help="score logarithm base: 10, e, or a number"
-)
-OPT_MIN_VALENCED = Opt(
-    "min-valenced", _to_nonneg, default=0, help="minimum supporting+contrasting"
-)
-OPT_MIN_REFERENCES = Opt(
-    "min-references", _to_nonneg, default=0, help="minimum reference count"
-)
-OPT_TOP = Opt("top", _to_pos, help="emit only the first k rows")
-OPT_FORMAT = Opt("format", _to_choice(*FORMATS), default="md", help="output format")
-OPT_OUT = Opt("out", str, help="output file (default stdout)")
-OPT_MODE = Opt(
-    "mode", _to_choice("strict", "lenient"), default="strict", help="parse mode"
-)
-OPT_SCORES = Opt(
-    "scores", str, help="external per-entity score file (NDJSON id/value)"
-)
-
-COMMAND_OPTS: dict[str, list[Opt]] = {
-    "aggregate": [
-        OPT_STATEMENTS,
-        OPT_REFERENCES,
-        OPT_PUBS,
-        OPT_AFFILIATIONS,
-        OPT_FROM_YEAR,
-        OPT_TO_YEAR,
-        OPT_ENTITY,
-        OPT_GROUP_BY_FIELD,
-        OPT_MODE,
-        OPT_OUT,
-    ],
-    "rank": [
-        OPT_BY,
-        OPT_ENTITY,
-        OPT_EXPONENT,
-        OPT_LOG_BASE,
-        OPT_MIN_VALENCED,
-        OPT_MIN_REFERENCES,
-        OPT_TOP,
-        OPT_FORMAT,
-        OPT_OUT,
-    ],
-    "fields": [OPT_EXPONENT, OPT_LOG_BASE, OPT_FORMAT, OPT_OUT],
-    "correlate": [OPT_SCORES, OPT_BY, OPT_EXPONENT, OPT_LOG_BASE, OPT_OUT],
-    "validate": [OPT_STATEMENTS, OPT_REFERENCES, OPT_PUBS, OPT_AFFILIATIONS],
+# name -> (convert, default, help).  The name is both the long flag and the
+# config key; an option converted by _to_bool is a flag that takes no value.
+OPTIONS: dict[str, tuple[Callable[[str], object], object, str]] = {
+    "statements": (str, None, "classified statement stream (NDJSON)"),
+    "references": (str, None, "reference event stream (NDJSON)"),
+    "pubs": (str, None, "publication metadata stream (NDJSON)"),
+    "affiliations": (str, None, "affiliation stream (NDJSON)"),
+    "from-year": (_to_int, 2024, "window start, citing year"),
+    "to-year": (_to_int, 2024, "window end, citing year"),
+    "entity": (_to_choice(*ENTITY_KINDS), None, "entity kind to tally or expect"),
+    "group-by-field": (_to_bool, False, "keep one tally per (entity, field) pair"),
+    "by": (_to_choice(*METRICS), "si", "ranking metric"),
+    "exponent": (_to_exponent, 2.0, "stance-quality exponent"),
+    "log-base": (_to_log_base, 10.0, "score logarithm base: 10, e, or a number"),
+    "min-valenced": (_to_int_from(0), 0, "minimum supporting+contrasting"),
+    "min-references": (_to_int_from(0), 0, "minimum reference count"),
+    "top": (_to_int_from(1), None, "emit only the first k rows"),
+    "format": (_to_choice(*FORMATS), "md", "output format"),
+    "out": (str, None, "output file (default stdout)"),
+    "mode": (_to_choice("strict", "lenient"), "strict", "parse mode"),
+    "scores": (str, None, "external per-entity score file (NDJSON id/value)"),
 }
 
-# every key any subcommand understands, so one config file can serve them all
-ALL_OPTION_NAMES = sorted({opt.name for opts in COMMAND_OPTS.values() for opt in opts})
+# the four input streams, in the order aggregate checks and validate reads them
+INPUTS = {
+    "statements": parse_statement,
+    "references": parse_reference,
+    "pubs": parse_publication,
+    "affiliations": parse_affiliation,
+}
+
+COMMAND_OPTS: dict[str, tuple[str, ...]] = {
+    "aggregate": (*INPUTS, "from-year", "to-year", "entity", "group-by-field", "mode", "out"),
+    "rank": (
+        "by",
+        "entity",
+        "exponent",
+        "log-base",
+        "min-valenced",
+        "min-references",
+        "top",
+        "format",
+        "out",
+    ),
+    "fields": ("exponent", "log-base", "format", "out"),
+    "correlate": ("scores", "by", "exponent", "log-base", "out"),
+    "validate": tuple(INPUTS),
+}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -230,7 +194,9 @@ def _read_config(path: str) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc.reason}") from exc
     values: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # universal newlines turned CRLF and CR into LF; splitlines() would also
+    # end a line at FF, VT, U+0085, U+2028 and the like
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -238,34 +204,32 @@ def _read_config(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in ALL_OPTION_NAMES:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict[str, object]:
-    """Apply precedence flag > config file > default, one conversion path."""
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each of the command's options on ``args`` to its typed value:
+    flag > config file > default, one conversion path."""
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     config_values = _read_config(config_path) if config_path else {}
-    resolved: dict[str, object] = {}
-    for opt in opts:
-        raw = getattr(args, opt.dest)
+    for name in COMMAND_OPTS[args.command]:
+        convert, default, _ = OPTIONS[name]
+        dest = name.replace("-", "_")
+        raw = getattr(args, dest)
         if raw is None:
-            raw = config_values.get(opt.name)
-        if raw is None:
-            resolved[opt.name] = opt.default
-            continue
+            raw = config_values.get(name)
         try:
-            resolved[opt.name] = opt.convert(raw)
+            setattr(args, dest, default if raw is None else convert(raw))
         except ValueError as exc:
-            raise ConfigError(f"bad value for --{opt.name}: {exc}") from exc
-    return resolved
+            raise ConfigError(f"bad value for --{name}: {exc}") from exc
 
 
-def _require_paths(resolved: dict[str, object], names: Sequence[str]) -> None:
+def _require_paths(opts: argparse.Namespace, names: Sequence[str]) -> None:
     for name in names:
-        path = resolved[name]
+        path = getattr(opts, name)
         if path is None:
             raise ConfigError(f"missing required --{name}")
         if not os.path.exists(path):
@@ -273,7 +237,7 @@ def _require_paths(resolved: dict[str, object], names: Sequence[str]) -> None:
 
 
 @contextmanager
-def _output(out_path: object) -> Iterator[IO[str]]:
+def _output(out_path: str | None) -> Iterator[IO[str]]:
     """stdout, or the --out file opened for writing.
 
     Commands enter it only once every input is read and the result exists,
@@ -282,7 +246,7 @@ def _output(out_path: object) -> Iterator[IO[str]]:
     if out_path is None:
         yield sys.stdout
     else:
-        with open(str(out_path), "w", encoding="utf-8") as handle:
+        with open(out_path, "w", encoding="utf-8") as handle:
             yield handle
 
 
@@ -301,10 +265,8 @@ def _diag_consistency(store: Store) -> None:
     )
 
 
-def _si_config(resolved: dict[str, object]) -> SiConfig:
-    return SiConfig(
-        exponent=float(resolved["exponent"]), log_base=float(resolved["log-base"])
-    )
+def _si_config(opts: argparse.Namespace) -> SiConfig:
+    return SiConfig(exponent=opts.exponent, log_base=opts.log_base)
 
 
 def _load_store_file(path: str) -> Store:
@@ -330,38 +292,34 @@ def _read_scores(path: str) -> dict[str, float]:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_aggregate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, COMMAND_OPTS["aggregate"])
-    _require_paths(resolved, ("statements", "references", "pubs", "affiliations"))
-    if resolved["entity"] is None:
+def cmd_aggregate(opts: argparse.Namespace) -> int:
+    _require_paths(opts, tuple(INPUTS))
+    if opts.entity is None:
         raise ConfigError("missing required --entity")
-    window = Window(int(resolved["from-year"]), int(resolved["to-year"]))
-    mode = str(resolved["mode"])
+    window = Window(opts.from_year, opts.to_year)
 
     reports: list[tuple[str, SkipReport]] = []
 
-    def records(name: str, parser_fn):
-        path = str(resolved[name])
+    def records(name: str):
+        path = getattr(opts, name)
         report = SkipReport()
         reports.append((path, report))
-        return stream(path, parser_fn, mode=mode, report=report)
+        return stream(path, INPUTS[name], mode=opts.mode, report=report)
 
-    tables = build_link_tables(
-        records("pubs", parse_publication), records("affiliations", parse_affiliation)
-    )
+    tables = build_link_tables(records("pubs"), records("affiliations"))
     store = build_store(
-        records("statements", parse_statement),
-        records("references", parse_reference),
+        records("statements"),
+        records("references"),
         tables,
         window,
-        str(resolved["entity"]),
-        by_field=bool(resolved["group-by-field"]),
+        opts.entity,
+        by_field=opts.group_by_field,
     )
     text = dump_store(store)
-    with _output(resolved["out"]) as out:
+    with _output(opts.out) as out:
         out.write(text)
 
-    if mode == "lenient":
+    if opts.mode == "lenient":
         for path, report in reports:
             _diag({"event": "ingest", "file": path, **report.as_record()})
     _diag(
@@ -376,70 +334,58 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, COMMAND_OPTS["rank"])
-    store = _load_store_file(args.store)
+def cmd_rank(opts: argparse.Namespace) -> int:
+    store = _load_store_file(opts.store)
     spec = RankSpec(
-        metric=str(resolved["by"]),
-        kind=None if resolved["entity"] is None else str(resolved["entity"]),
-        min_valenced=int(resolved["min-valenced"]),
-        min_references=int(resolved["min-references"]),
-        top_k=None if resolved["top"] is None else int(resolved["top"]),
-        si_config=_si_config(resolved),
+        metric=opts.by,
+        kind=opts.entity,
+        min_valenced=opts.min_valenced,
+        min_references=opts.min_references,
+        top_k=opts.top,
+        si_config=_si_config(opts),
     )
     require_plain_store(store, "rank")
     rows, report = rank_entities(store, spec)
-    with _output(resolved["out"]) as out:
-        write_rows(rows, str(resolved["format"]), out)
+    with _output(opts.out) as out:
+        write_rows(rows, opts.format, out)
     _diag({"event": "exclusions", **asdict(report)})
     _diag_consistency(store)
     return EXIT_OK
 
 
-def cmd_fields(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, COMMAND_OPTS["fields"])
-    store = _load_store_file(args.store)
-    rows = field_breakdown(store, _si_config(resolved))
-    with _output(resolved["out"]) as out:
-        write_breakdown(rows, str(resolved["format"]), out)
+def cmd_fields(opts: argparse.Namespace) -> int:
+    store = _load_store_file(opts.store)
+    rows = field_breakdown(store, _si_config(opts))
+    with _output(opts.out) as out:
+        write_breakdown(rows, opts.format, out)
     _diag({"event": "breakdown", "rows": len(rows)})
     return EXIT_OK
 
 
-def cmd_correlate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, COMMAND_OPTS["correlate"])
-    _require_paths(resolved, ("scores",))
-    store = _load_store_file(args.store)
-    scores = _read_scores(str(resolved["scores"]))
-    result = correlate(store, scores, str(resolved["by"]), _si_config(resolved))
-    with _output(resolved["out"]) as out:
+def cmd_correlate(opts: argparse.Namespace) -> int:
+    _require_paths(opts, ("scores",))
+    store = _load_store_file(opts.store)
+    scores = _read_scores(opts.scores)
+    result = correlate(store, scores, opts.by, _si_config(opts))
+    with _output(opts.out) as out:
         out.write(json.dumps(asdict(result), ensure_ascii=False) + "\n")
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, COMMAND_OPTS["validate"])
-    stream_parsers = (
-        ("statements", parse_statement),
-        ("references", parse_reference),
-        ("pubs", parse_publication),
-        ("affiliations", parse_affiliation),
-    )
+def cmd_validate(opts: argparse.Namespace) -> int:
     checked = 0
     defects = 0
-    for name, parser_fn in stream_parsers:
-        path = resolved[name]
+    for name, parser_fn in INPUTS.items():
+        path = getattr(opts, name)
         if path is None:
             continue
-        _require_paths(resolved, (name,))
+        _require_paths(opts, (name,))
         checked += 1
         report = SkipReport()
-        records = 0
-        for _ in stream(str(path), parser_fn, mode="lenient", report=report):
-            records += 1
+        records = sum(1 for _ in stream(path, parser_fn, mode="lenient", report=report))
         print(
             json.dumps(
-                {"file": str(path), "records": records, **report.as_record()},
+                {"file": path, "records": records, **report.as_record()},
                 ensure_ascii=False,
             )
         )
@@ -464,19 +410,11 @@ def build_parser() -> _Parser:
         if store_positional:
             sub.add_argument("store", help="serialized aggregate store (NDJSON)")
         for opt in COMMAND_OPTS[name]:
-            if opt.is_flag:
-                sub.add_argument(
-                    f"--{opt.name}",
-                    dest=opt.dest,
-                    action="store_const",
-                    const="true",
-                    default=None,
-                    help=opt.help,
-                )
+            convert, _, opt_help = OPTIONS[opt]
+            if convert is _to_bool:
+                sub.add_argument(f"--{opt}", action="store_const", const="true", help=opt_help)
             else:
-                sub.add_argument(
-                    f"--{opt.name}", dest=opt.dest, default=None, help=opt.help
-                )
+                sub.add_argument(f"--{opt}", help=opt_help)
         sub.add_argument("--config", default=None, help="config file (key = value lines)")
         sub.set_defaults(handler=handler)
 
@@ -515,6 +453,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "handler", None) is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        _resolve(args)
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

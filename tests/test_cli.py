@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import citerank
 from citerank.aggregate import Store, dump_store, load_store
-from citerank.cli import main
+from citerank.cli import COMMAND_OPTS, OPTIONS, _to_bool, main
 from citerank.errors import ConfigError, DataError
 from citerank.linking import EntityKey
 from citerank.metrics import EntityTally
@@ -804,6 +804,47 @@ class TestHashSeed:
         assert all(b"I8" in store for store in results[0][1])
 
 
+# every option whose converter can reject a value, under each command using it
+CONVERTED_OPTIONS = [
+    (command, name)
+    for command, names in COMMAND_OPTS.items()
+    for name in names
+    if OPTIONS[name][0] is not str
+]
+# option -> (a good value other than the default, a value its converter rejects)
+VALUES = {
+    "from-year": ("2023", "soon"),
+    "to-year": ("2025", "2024.5"),
+    "entity": ("journal", "planet"),
+    "group-by-field": ("true", "maybe"),
+    "mode": ("lenient", "sloppy"),
+    "by": ("usi", "hs"),
+    "exponent": ("3", "0"),
+    "log-base": ("e", "1"),
+    "min-valenced": ("2", "-1"),
+    "min-references": ("3", "x"),
+    "top": ("1", "0"),
+    "format": ("csv", "pdf"),
+}
+
+
+def command_args(corpus, tmp_path, command, name):
+    """A good run of ``command`` that leaves option ``name`` unset."""
+    if command == "aggregate":
+        args = aggregate_args(corpus)
+        return args[:-2] if name == "entity" else args
+    store_path = tmp_path / "store.jsonl"
+    extra = ("--entity", "institution", "--group-by-field") if command == "fields" else ()
+    assert main(aggregate_args(corpus, *extra, "--out", str(store_path))) == 0
+    if command == "correlate":
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            '{"id": "J1", "value": 0.5}\n{"id": "J2", "value": 0.9}\n', encoding="utf-8"
+        )
+        return [command, str(store_path), "--scores", str(scores)]
+    return [command, str(store_path)]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "store.jsonl"
@@ -866,6 +907,70 @@ class TestConfigFile:
         config = tmp_path / "citerank.conf"
         config.write_text("just words\n", encoding="utf-8")
         assert main(aggregate_args(corpus, "--config", str(config))) == 1
+
+    def test_line_separator_does_not_end_a_config_line(self, corpus, tmp_path, capsys):
+        # U+2028 is a line break to str.splitlines(), not to an editor
+        store_path = tmp_path / "store.jsonl"
+        assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
+        config = tmp_path / "citerank.conf"
+        config.write_text("# old setting, disabled\u2028top = 1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["rank", str(store_path)]) == 0
+        without = capsys.readouterr()
+        assert main(["rank", str(store_path), "--config", str(config)]) == 0
+        assert capsys.readouterr() == without
+        assert '"beyond_top_k": 0' in without.err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_config_error_names_the_editor_line(self, corpus, tmp_path, capsys, newline):
+        config = tmp_path / "citerank.conf"
+        config.write_bytes(newline.join(["mode = strict", "\f", "just words", ""]).encode())
+        assert main(aggregate_args(corpus, "--config", str(config))) == 1
+        assert capsys.readouterr().err == f"error: {config}:3: expected 'key = value'\n"
+
+    @pytest.mark.parametrize("command,name", CONVERTED_OPTIONS)
+    def test_flag_and_config_line_give_the_same_run(
+        self, corpus, tmp_path, capsys, command, name
+    ):
+        convert, default, _ = OPTIONS[name]
+        base = command_args(corpus, tmp_path, command, name)
+        config = tmp_path / "citerank.conf"
+        capsys.readouterr()
+
+        def runs(value):
+            config.write_text(f"{name} = {value}\n", encoding="utf-8")
+            sources = [["--config", str(config)]]
+            # a flag that takes no value can only switch the option on
+            if convert is not _to_bool:
+                sources.append([f"--{name}", value])
+            elif value == "true":
+                sources.append([f"--{name}"])
+            return [(main([*base, *source]), capsys.readouterr()) for source in sources]
+
+        good, bad = VALUES[name]
+        assert convert(good) != default
+        by_config, by_flag = runs(good)
+        assert by_config == by_flag and by_config[0] == 0
+
+        with pytest.raises(ValueError) as reason:
+            convert(bad)
+        expected = f"error: bad value for --{name}: {reason.value}\n"
+        for code, captured in runs(bad):
+            assert (code, captured.out, captured.err) == (1, "", expected)
+
+    def test_readme_config_table_matches_options(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+        listed = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                key, commands = line.split("|")[1:3]
+                listed[key.strip().strip("`")] = commands.strip().split(", ")
+        expected = {
+            name: [command for command, names in COMMAND_OPTS.items() if name in names]
+            for name in OPTIONS
+        }
+        assert listed == expected
 
 
 # -- fuzz: mixed valid and garbage NDJSON through main() -------------------
