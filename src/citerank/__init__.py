@@ -47,7 +47,6 @@ from .rank import (
     RankedRow,
     RankSpec,
     correlate,
-    export_breakdown,
     export_rows,
     field_breakdown,
     rank_entities,
@@ -88,7 +87,6 @@ __all__ = [
     "correlate",
     "count_statement_excess",
     "dump_store",
-    "export_breakdown",
     "export_rows",
     "field_breakdown",
     "hs_index",

@@ -305,7 +305,7 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
                 where = "" if label is None else f" in field {label!r}"
                 raise ParseError(f"duplicate entity {kind}/{entity_id}{where}")
         except ParseError as exc:
-            raise ParseError(exc.message, path=path, line_no=line_no) from exc
+            raise ParseError(f"{path}:{line_no}: {exc}") from exc
     if diagnostics is None:
         raise DataError(f"{path}: missing trailing diagnostics record")
     return Store(kind, tallies, diagnostics)

@@ -7,10 +7,11 @@ record per line so they survive piping the table somewhere else.
 Option values resolve in precedence order: explicit flag, then config file
 (--config or the CITERANK_CONFIG environment variable), then built-in
 default.  OPTIONS lists each option once; its name is both the long flag
-and the config key.  A config file holds ``key = value`` lines and ``#``
-comments, and a line ends only at LF, CRLF or CR.  One file may hold every
-command's keys: a command converts only the keys it uses.  Relative paths
-resolve against the working directory.
+and the config key.  COMMANDS lists each subcommand once: its handler,
+help, whether it reads a store, and its option names.  A config file holds
+``key = value`` lines and ``#`` comments, and a line ends only at LF, CRLF
+or CR.  One file may hold every command's keys: a command converts only
+the keys it uses.  Relative paths resolve against the working directory.
 
 Exit codes: 0 success, 1 usage or configuration, 2 data, 3 I/O.
 """
@@ -166,25 +167,6 @@ INPUTS = {
     "affiliations": parse_affiliation,
 }
 
-COMMAND_OPTS: dict[str, tuple[str, ...]] = {
-    "aggregate": (*INPUTS, "from-year", "to-year", "entity", "group-by-field", "mode", "out"),
-    "rank": (
-        "by",
-        "entity",
-        "exponent",
-        "log-base",
-        "min-valenced",
-        "min-references",
-        "top",
-        "format",
-        "out",
-    ),
-    "fields": ("exponent", "log-base", "format", "out"),
-    "correlate": ("scores", "by", "exponent", "log-base", "out"),
-    "validate": tuple(INPUTS),
-}
-
-
 def _read_config(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -215,7 +197,7 @@ def _resolve(args: argparse.Namespace) -> None:
     flag > config file > default, one conversion path."""
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
     config_values = _read_config(config_path) if config_path else {}
-    for name in COMMAND_OPTS[args.command]:
+    for name in COMMANDS[args.command][3]:
         convert, default, _ = OPTIONS[name]
         dest = name.replace("-", "_")
         raw = getattr(args, dest)
@@ -283,7 +265,7 @@ def _read_scores(path: str) -> dict[str, float]:
             # every earlier line added one id, in file order
             first = list(scores).index(entity_id) + 1
             raise ParseError(
-                f"duplicate id {entity_id!r}, first on line {first}", path=path, line_no=line_no
+                f"{path}:{line_no}: duplicate id {entity_id!r}, first on line {first}"
             )
         scores[entity_id] = number
     return scores
@@ -321,7 +303,7 @@ def cmd_aggregate(opts: argparse.Namespace) -> int:
 
     if opts.mode == "lenient":
         for path, report in reports:
-            _diag({"event": "ingest", "file": path, **report.as_record()})
+            _diag({"event": "ingest", "file": path, **asdict(report)})
     _diag(
         {
             "event": "link_tables",
@@ -383,16 +365,43 @@ def cmd_validate(opts: argparse.Namespace) -> int:
         checked += 1
         report = SkipReport()
         records = sum(1 for _ in stream(path, parser_fn, mode="lenient", report=report))
-        print(
-            json.dumps(
-                {"file": path, "records": records, **report.as_record()},
-                ensure_ascii=False,
-            )
-        )
+        row = {"file": path, "records": records, **asdict(report)}
+        print(json.dumps(row, ensure_ascii=False))
         defects += report.skipped
     if checked == 0:
         raise ConfigError("nothing to validate: pass at least one input flag")
     return EXIT_OK if defects == 0 else EXIT_DATA
+
+
+# name -> (handler, help, reads a store, option names), in --help order
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, bool, tuple[str, ...]]] = {
+    "aggregate": (
+        cmd_aggregate,
+        "build an aggregate store from the four input streams",
+        False,
+        (*INPUTS, "from-year", "to-year", "entity", "group-by-field", "mode", "out"),
+    ),
+    "rank": (
+        cmd_rank,
+        "rank a store's entities",
+        True,
+        ("by", "entity", "exponent", "log-base", "min-valenced", "min-references", "top",
+         "format", "out"),
+    ),
+    "fields": (
+        cmd_fields,
+        "per-field breakdown from a per-field store",
+        True,
+        ("exponent", "log-base", "format", "out"),
+    ),
+    "correlate": (
+        cmd_correlate,
+        "correlate a plain store's scores with an external score file",
+        True,
+        ("scores", "by", "exponent", "log-base", "out"),
+    ),
+    "validate": (cmd_validate, "check input files for defects", False, tuple(INPUTS)),
+}
 
 
 # -- parser ----------------------------------------------------------------
@@ -404,42 +413,17 @@ def build_parser() -> _Parser:
         description="Stance-aware citation tallies and rankings.",
     )
     subparsers = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add_command(name: str, handler, help_text: str, store_positional: bool):
+    for name, (_, help_text, reads_store, option_names) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        if store_positional:
+        if reads_store:
             sub.add_argument("store", help="serialized aggregate store (NDJSON)")
-        for opt in COMMAND_OPTS[name]:
+        for opt in option_names:
             convert, _, opt_help = OPTIONS[opt]
             if convert is _to_bool:
                 sub.add_argument(f"--{opt}", action="store_const", const="true", help=opt_help)
             else:
                 sub.add_argument(f"--{opt}", help=opt_help)
         sub.add_argument("--config", default=None, help="config file (key = value lines)")
-        sub.set_defaults(handler=handler)
-
-    add_command(
-        "aggregate",
-        cmd_aggregate,
-        "build an aggregate store from the four input streams",
-        store_positional=False,
-    )
-    add_command("rank", cmd_rank, "rank a store's entities", store_positional=True)
-    add_command(
-        "fields",
-        cmd_fields,
-        "per-field breakdown from a per-field store",
-        store_positional=True,
-    )
-    add_command(
-        "correlate",
-        cmd_correlate,
-        "correlate a plain store's scores with an external score file",
-        store_positional=True,
-    )
-    add_command(
-        "validate", cmd_validate, "check input files for defects", store_positional=False
-    )
     return parser
 
 
@@ -450,11 +434,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help prints and exits 0
             return int(exc.code or 0)
-        if getattr(args, "handler", None) is None:
+        if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         _resolve(args)
-        return args.handler(args)
+        return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,15 +23,7 @@ class DataError(CiterankError):
 
 
 class ParseError(DataError):
-    """A malformed input line, with file and line context when known."""
-
-    def __init__(self, message: str, *, path: str | None = None, line_no: int | None = None):
-        self.message = message
-        self.path = path
-        self.line_no = line_no
-        super().__init__(message)
-
-    def __str__(self) -> str:
-        if self.path is not None and self.line_no is not None:
-            return f"{self.path}:{self.line_no}: {self.message}"
-        return self.message
+    """A malformed input line.  A parser raises it with the reason alone;
+    the reader that knows the file and line (``ingest.stream``,
+    ``aggregate.load_store``, the CLI's scores reader) raises a new one
+    whose message starts with ``path:line: ``."""

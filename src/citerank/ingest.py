@@ -35,7 +35,6 @@ from .errors import ConfigError, ParseError
 __all__ = [
     "STANCE_CLASSES",
     "MIN_YEAR",
-    "max_year",
     "StatementRecord",
     "ReferenceEvent",
     "PublicationRecord",
@@ -61,10 +60,6 @@ MIN_YEAR = 1400
 # Fixed once when the process starts, so one run checks every line against
 # the same bound.
 _MAX_YEAR = date.today().year + 1
-
-
-def max_year() -> int:
-    return _MAX_YEAR
 
 
 # Records are named tuples: cheap to build once per line, immutable, and
@@ -342,9 +337,6 @@ class SkipReport:
         if self.first_bad_line is None:
             self.first_bad_line = line_no
 
-    def as_record(self) -> dict:
-        return {"skipped": self.skipped, "first_bad_line": self.first_bad_line}
-
 
 def stream(
     path: str,
@@ -377,6 +369,6 @@ def stream(
                 yield parser(line)
             except ParseError as exc:
                 if mode == "strict":
-                    raise ParseError(exc.message, path=path, line_no=line_no) from exc
+                    raise ParseError(f"{path}:{line_no}: {exc}") from exc
                 if report is not None:
                     report.record_skip(line_no)

@@ -34,11 +34,8 @@ __all__ = [
     "field_breakdown",
     "correlate",
     "export_rows",
-    "export_breakdown",
     "write_rows",
     "write_breakdown",
-    "RANK_CSV_HEADER",
-    "BREAKDOWN_CSV_HEADER",
 ]
 
 METRICS = ("si", "usi")
@@ -196,18 +193,19 @@ class FieldBreakdownRow(NamedTuple):
 def field_breakdown(
     store: Store, si_config: SiConfig = DEFAULT_SI_CONFIG
 ) -> list[FieldBreakdownRow]:
-    """Per-field score rows from a store built with per-field grouping.
+    """Per-field score rows from a per-field institution store.
 
-    Every row of the store must carry a field label; an empty store gives
-    no rows.  Rows without a defined score (no valenced statements, or zero
-    usi or references) are dropped: the breakdown is plot-ready data, and
-    those cells would have no position on a score axis.  Sorted by field
-    label, then score descending, then entity id.
+    Every row of the store must carry a field label, and a journal or field
+    store is refused; an empty store gives no rows.  Rows without a defined
+    score (no valenced statements, or zero usi or references) are dropped:
+    the breakdown is plot-ready data, and those cells would have no position
+    on a score axis.  Sorted by field label, then score descending, then
+    entity id.
     """
     if any(key.field is None for key in store.tallies):
-        raise ConfigError(
-            "store lacks per-field grouping; rebuild aggregation with it enabled"
-        )
+        raise ConfigError("store lacks per-field grouping; rebuild aggregation with it enabled")
+    if store.kind not in (None, "institution"):
+        raise ConfigError(f"store holds {store.kind} rows; fields needs an institution store")
     rows: list[FieldBreakdownRow] = []
     for key, tally in store.tallies.items():
         usi_value, si_value = _scores(tally, si_config)
@@ -240,7 +238,8 @@ def correlate(
 
     Matching is by entity id, so a per-field store is rejected.  Entities
     with an undefined metric are left out; those without an external value
-    are counted, and so are external ids matching none.  Raises DataError
+    are counted, and so are external ids that match no scored entity,
+    ids of entities whose metric is undefined included.  Raises DataError
     where ``si`` or ``pearson`` does.
     """
     if metric not in METRICS:
@@ -271,7 +270,7 @@ def correlate(
 #
 # All three formats are deterministic byte-for-byte for a given row list.
 # ``write_rows`` and ``write_breakdown`` write a table to a text handle row
-# by row; ``export_rows`` and ``export_breakdown`` return the same text.
+# by row; ``export_rows`` returns the ranked table's text.
 # csv and json carry exact values (repr round-trips them losslessly); the
 # markdown table is the human view and shows display strings only.
 #
@@ -322,12 +321,6 @@ def _write_table(table: _Table, rows: Sequence, fmt: str, out: IO[str]) -> None:
         out.write(table.md_header + "\n")
         for row in rows:
             out.write("| " + " | ".join(table.md_cells(row)) + " |\n")
-
-
-def _table_text(table: _Table, rows: Sequence, fmt: str) -> str:
-    buffer = io.StringIO()
-    _write_table(table, rows, fmt, buffer)
-    return buffer.getvalue()
 
 
 def _counts(tally: EntityTally) -> tuple[int, int, int, int]:
@@ -393,16 +386,11 @@ _BREAKDOWN_TABLE = _Table(
     ),
 )
 
-RANK_CSV_HEADER = ",".join(_RANK_TABLE.columns)
-BREAKDOWN_CSV_HEADER = ",".join(_BREAKDOWN_TABLE.columns)
-
 
 def export_rows(rows: list[RankedRow], fmt: str) -> str:
-    return _table_text(_RANK_TABLE, rows, fmt)
-
-
-def export_breakdown(rows: list[FieldBreakdownRow], fmt: str) -> str:
-    return _table_text(_BREAKDOWN_TABLE, rows, fmt)
+    buffer = io.StringIO()
+    _write_table(_RANK_TABLE, rows, fmt, buffer)
+    return buffer.getvalue()
 
 
 def write_rows(rows: Sequence[RankedRow], fmt: str, out: IO[str]) -> None:
@@ -411,5 +399,5 @@ def write_rows(rows: Sequence[RankedRow], fmt: str, out: IO[str]) -> None:
 
 
 def write_breakdown(rows: Sequence[FieldBreakdownRow], fmt: str, out: IO[str]) -> None:
-    """Write what ``export_breakdown`` returns to ``out``, row by row."""
+    """Write the per-field breakdown table to ``out``, row by row."""
     _write_table(_BREAKDOWN_TABLE, rows, fmt, out)

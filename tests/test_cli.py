@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,12 +14,11 @@ from hypothesis import strategies as st
 
 import citerank
 from citerank.aggregate import Store, dump_store, load_store
-from citerank.cli import COMMAND_OPTS, OPTIONS, _to_bool, main
+from citerank.cli import COMMANDS, OPTIONS, _to_bool, build_parser, main
 from citerank.errors import ConfigError, DataError
 from citerank.linking import EntityKey
 from citerank.metrics import EntityTally
 from citerank.rank import (
-    BREAKDOWN_CSV_HEADER,
     FORMATS,
     RankSpec,
     export_rows,
@@ -26,6 +26,7 @@ from citerank.rank import (
     require_plain_store,
 )
 from test_aggregate import store_texts
+from test_rank import ORACLE_BREAKDOWN_CSV_HEADER
 
 PUBS = [
     '{"id": "W1", "journal_id": "J1", "field": "Physics"}',
@@ -274,12 +275,25 @@ class TestFields:
         assert main(args) == 0
         capsys.readouterr()
         assert main(["fields", str(store_path), "--format", "csv"]) == 0
-        assert capsys.readouterr().out.splitlines() == [BREAKDOWN_CSV_HEADER]
+        assert capsys.readouterr().out.splitlines() == [ORACLE_BREAKDOWN_CSV_HEADER]
 
     def test_plain_store_rejected(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "plain.jsonl"
         assert main(aggregate_args(corpus, "--out", str(store_path))) == 0
         assert main(["fields", str(store_path)]) == 1
+
+    @pytest.mark.parametrize("kind", ["journal", "field"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_journal_or_field_store_rejected(self, corpus, tmp_path, capsys, kind, fmt):
+        store_path = tmp_path / "grouped.jsonl"
+        args = aggregate_args(corpus, "--entity", kind, "--group-by-field")
+        assert main([*args, "--out", str(store_path)]) == 0
+        capsys.readouterr()
+        assert main(["fields", str(store_path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = f"error: store holds {kind} rows; fields needs an institution store\n"
+        assert captured.err == expected
 
 
 class TestOutFile:
@@ -635,6 +649,30 @@ class TestExitCodes:
         assert main(["rank", "--help"]) == 0
 
 
+class TestParser:
+    """The parser is built from COMMANDS and OPTIONS alone."""
+
+    def subcommands(self):
+        parser = build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action
+
+    def test_subcommands_in_table_order_with_their_help(self):
+        action = self.subcommands()
+        assert list(action.choices) == list(COMMANDS)
+        helps = [help_text for _, help_text, _, _ in COMMANDS.values()]
+        assert [a.help for a in action._choices_actions] == helps
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_options_and_store_positional(self, command):
+        _, _, reads_store, option_names = COMMANDS[command]
+        sub = self.subcommands().choices[command]
+        flags = [flag for a in sub._actions for flag in a.option_strings if flag.startswith("--")]
+        assert flags == ["--help", *(f"--{name}" for name in option_names), "--config"]
+        positionals = [a.dest for a in sub._actions if not a.option_strings]
+        assert positionals == (["store"] if reads_store else [])
+
+
 class TestExtremeScores:
     @pytest.fixture
     def stores(self, tmp_path):
@@ -807,7 +845,7 @@ class TestHashSeed:
 # every option whose converter can reject a value, under each command using it
 CONVERTED_OPTIONS = [
     (command, name)
-    for command, names in COMMAND_OPTS.items()
+    for command, (*_, names) in COMMANDS.items()
     for name in names
     if OPTIONS[name][0] is not str
 ]
@@ -967,7 +1005,7 @@ class TestConfigFile:
                 key, commands = line.split("|")[1:3]
                 listed[key.strip().strip("`")] = commands.strip().split(", ")
         expected = {
-            name: [command for command, names in COMMAND_OPTS.items() if name in names]
+            name: [command for command, (*_, names) in COMMANDS.items() if name in names]
             for name in OPTIONS
         }
         assert listed == expected

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from citerank.errors import ConfigError, ParseError
 from citerank.ingest import (
     MIN_YEAR,
     STANCE_CLASSES,
+    _MAX_YEAR,
     AffiliationRecord,
     PublicationRecord,
     ReferenceEvent,
@@ -18,7 +20,6 @@ from citerank.ingest import (
     dump_publication,
     dump_reference,
     dump_statement,
-    max_year,
     parse_affiliation,
     parse_publication,
     parse_reference,
@@ -27,7 +28,7 @@ from citerank.ingest import (
 )
 
 ids = st.text(min_size=1, max_size=30)
-years = st.integers(MIN_YEAR, max_year())
+years = st.integers(MIN_YEAR, _MAX_YEAR)
 
 
 class TestParseStatement:
@@ -65,11 +66,11 @@ class TestParseStatement:
     def test_year_bounds(self):
         template = '{{"citing_id": "C", "cited_id": "W", "citing_year": {}, "class": "supporting"}}'
         assert parse_statement(template.format(MIN_YEAR)).citing_year == MIN_YEAR
-        assert parse_statement(template.format(max_year())).citing_year == max_year()
+        assert parse_statement(template.format(_MAX_YEAR)).citing_year == _MAX_YEAR
         with pytest.raises(ParseError):
             parse_statement(template.format(MIN_YEAR - 1))
         with pytest.raises(ParseError):
-            parse_statement(template.format(max_year() + 1))
+            parse_statement(template.format(_MAX_YEAR + 1))
 
 
 class TestParsePublication:
@@ -226,7 +227,7 @@ class TestStream:
         assert len(records) == 2
         assert report.skipped == 3
         assert report.first_bad_line == 2
-        assert report.as_record() == {"skipped": 3, "first_bad_line": 2}
+        assert asdict(report) == {"skipped": 3, "first_bad_line": 2}
 
     def test_totality(self, tmp_path):
         # every line is either a record or a counted skip
@@ -251,7 +252,7 @@ class TestStream:
         report = SkipReport()
         records = list(stream(str(path), parse_statement, "lenient", report))
         assert records == [StatementRecord("C1", "W1", 2024, "supporting")] * 3
-        assert report.as_record() == {"skipped": 1, "first_bad_line": 4}
+        assert asdict(report) == {"skipped": 1, "first_bad_line": 4}
 
     def test_invalid_utf8_line_is_a_bad_line(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -259,7 +260,7 @@ class TestStream:
         report = SkipReport()
         records = list(stream(str(path), parse_statement, "lenient", report))
         assert len(records) == 2
-        assert report.as_record() == {"skipped": 1, "first_bad_line": 2}
+        assert asdict(report) == {"skipped": 1, "first_bad_line": 2}
         with pytest.raises(ParseError) as err:
             list(stream(str(path), parse_statement, mode="strict"))
         assert str(err.value).startswith(f"{path}:2: invalid UTF-8")
@@ -286,7 +287,7 @@ class TestStream:
             for rec in stream(str(path), parse_statement, mode="strict"):
                 seen.append(rec)
         assert len(seen) == bad_at
-        assert err.value.line_no == bad_at + 1
+        assert str(err.value).startswith(f"{path}:{bad_at + 1}: ")
 
     def test_memory_constant_in_file_size(self, tmp_path):
         small = tmp_path / "small.jsonl"
@@ -310,12 +311,12 @@ class TestStream:
 
 class TestSkipReportRecord:
     def test_empty_report(self):
-        assert SkipReport().as_record() == {"skipped": 0, "first_bad_line": None}
+        assert asdict(SkipReport()) == {"skipped": 0, "first_bad_line": None}
 
     def test_json_serializable(self):
         report = SkipReport()
         report.record_skip(7)
-        assert json.loads(json.dumps(report.as_record())) == {
+        assert json.loads(json.dumps(asdict(report))) == {
             "skipped": 1,
             "first_bad_line": 7,
         }
@@ -355,9 +356,9 @@ def _oracle_year(obj, key):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"key {key!r} must be an integer year, got {value!r}")
-    if not MIN_YEAR <= value <= max_year():
+    if not MIN_YEAR <= value <= _MAX_YEAR:
         raise ParseError(
-            f"key {key!r} year {value} outside plausible range [{MIN_YEAR}, {max_year()}]"
+            f"key {key!r} year {value} outside plausible range [{MIN_YEAR}, {_MAX_YEAR}]"
         )
     return value
 
@@ -390,7 +391,7 @@ def outcome(parser, line):
     try:
         rec = parser(line)
     except ParseError as exc:
-        return ("error", exc.message)
+        return ("error", str(exc))
     return (type(rec).__name__, rec)
 
 

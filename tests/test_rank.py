@@ -15,16 +15,13 @@ from citerank.errors import ConfigError, DataError
 from citerank.linking import EntityKey
 from citerank.metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
 from citerank.rank import (
-    BREAKDOWN_CSV_HEADER,
     METRICS,
-    RANK_CSV_HEADER,
     CorrelationResult,
     ExclusionReport,
     FieldBreakdownRow,
     RankedRow,
     RankSpec,
     correlate,
-    export_breakdown,
     export_rows,
     field_breakdown,
     rank_entities,
@@ -36,6 +33,12 @@ from citerank.rank import (
 
 def store_of(tallies: dict[EntityKey, EntityTally], kind="journal"):
     return Store(kind, dict(tallies))
+
+
+def export_breakdown(rows, fmt):
+    out = io.StringIO()
+    write_breakdown(rows, fmt, out)
+    return out.getvalue()
 
 
 def journal_store(rows: dict[str, tuple[int, int, int, int]]):
@@ -245,6 +248,14 @@ class TestFieldBreakdown:
         with pytest.raises(ConfigError):
             field_breakdown(journal_store({"A": (1, 0, 0, 1)}))
 
+    @pytest.mark.parametrize("kind", ["journal", "field"])
+    def test_requires_institution_store(self, kind):
+        # the rows would be labelled as institutions
+        store = store_of({EntityKey(kind, "X1", "Bio"): EntityTally(5, 0, 1, 50)}, kind=kind)
+        with pytest.raises(ConfigError) as err:
+            field_breakdown(store)
+        assert str(err.value) == f"store holds {kind} rows; fields needs an institution store"
+
     def test_rows_without_field_label_rejected(self):
         store = self.make_store()
         store.tallies[EntityKey("institution", "I4")] = EntityTally(1, 0, 0, 1)
@@ -261,7 +272,7 @@ class TestFieldBreakdown:
         # an empty per-field store cannot be told from any other empty store
         rows = field_breakdown(store_of({}, kind="institution"))
         assert rows == []
-        assert export_breakdown(rows, "csv") == BREAKDOWN_CSV_HEADER + "\n"
+        assert export_breakdown(rows, "csv") == ORACLE_BREAKDOWN_CSV_HEADER + "\n"
 
 
 class TestCorrelate:
@@ -294,6 +305,14 @@ class TestCorrelate:
         assert result.matched == 10
         assert result.unmatched_rows == len(rows) - 10
         assert result.unmatched_external == 1
+
+    def test_external_id_of_an_unscored_entity_is_unmatched_external(self):
+        # E is in the store but has no valenced statements, so no usi
+        store = journal_store(
+            {"A": (3, 0, 1, 10), "B": (1, 0, 1, 20), "C": (5, 0, 2, 30), "E": (0, 4, 0, 40)}
+        )
+        result = correlate(store, {"A": 1.0, "B": 2.0, "C": 4.0, "E": 3.0}, metric="usi")
+        assert (result.matched, result.unmatched_rows, result.unmatched_external) == (3, 0, 1)
 
     def test_degenerate_raises(self):
         rows = self.ranked_rows()
@@ -456,7 +475,7 @@ class TestExports:
 
     def test_csv_header_exact(self):
         text = export_rows(self.rows(), "csv")
-        assert text.splitlines()[0] == RANK_CSV_HEADER
+        assert text.splitlines()[0] == ORACLE_RANK_CSV_HEADER
 
     def test_csv_quotes_commas_and_round_trips_exact_values(self):
         rows = self.rows()
@@ -506,7 +525,7 @@ class TestExports:
         assert export_rows(self.rows(), "md") == export_rows(self.rows(), "md")
 
     def test_empty_rows_still_valid(self):
-        assert export_rows([], "csv") == RANK_CSV_HEADER + "\n"
+        assert export_rows([], "csv") == ORACLE_RANK_CSV_HEADER + "\n"
         assert json.loads(export_rows([], "json")) == []
         assert export_rows([], "md").splitlines()[0].startswith("| Entity")
 
@@ -520,7 +539,7 @@ class TestExports:
             kind="institution",
         )
         text = export_breakdown(field_breakdown(store), "csv")
-        assert text.splitlines()[0] == BREAKDOWN_CSV_HEADER
+        assert text.splitlines()[0] == ORACLE_BREAKDOWN_CSV_HEADER
         entry = next(csv.DictReader(io.StringIO(text)))
         assert entry["institution"] == "I1"
         assert entry["field"] == "Physics"
@@ -738,10 +757,6 @@ class TestCsvAndMarkdownExportsMatchOracles:
         assert text == oracle_breakdown_markdown(rows)
         assert text.count("\n") == len(rows) + 2
 
-    def test_headers_are_the_oracle_headers(self):
-        assert RANK_CSV_HEADER == ORACLE_RANK_CSV_HEADER
-        assert BREAKDOWN_CSV_HEADER == ORACLE_BREAKDOWN_CSV_HEADER
-
 
 def read_csv(text):
     return list(csv.reader(io.StringIO(text, newline="")))
@@ -755,7 +770,7 @@ class TestCsvReadsBack:
         rows = rank_entities(journal_store({text: (3, 0, 1, 50)}), RankSpec())[0]
         row = rows[0]
         assert read_csv(export_rows(rows, "csv")) == [
-            RANK_CSV_HEADER.split(","),
+            ORACLE_RANK_CSV_HEADER.split(","),
             [
                 "journal", text, "3", "0", "1", "50", repr(row.usi_exact),
                 repr(row.si_exact), row.usi_display, row.si_display, "1",
@@ -769,7 +784,7 @@ class TestCsvReadsBack:
         )
         rows = field_breakdown(store)
         assert read_csv(export_breakdown(rows, "csv")) == [
-            BREAKDOWN_CSV_HEADER.split(","),
+            ORACLE_BREAKDOWN_CSV_HEADER.split(","),
             [text, text, "5", "0", "1", "50", repr(rows[0].usi_exact), repr(rows[0].si_exact)],
         ]
 
@@ -807,8 +822,8 @@ class TestWrittenBytesMatchStringExports:
 
     def test_empty(self):
         for write, header, md_columns in (
-            (write_rows, RANK_CSV_HEADER, "| Entity |"),
-            (write_breakdown, BREAKDOWN_CSV_HEADER, "| Institution |"),
+            (write_rows, ORACLE_RANK_CSV_HEADER, "| Entity |"),
+            (write_breakdown, ORACLE_BREAKDOWN_CSV_HEADER, "| Institution |"),
         ):
             assert written_bytes(write, [], "json") == b"[]\n"
             assert written_bytes(write, [], "csv") == (header + "\n").encode()
