@@ -78,8 +78,8 @@ class Store:
     fold that produced them.
 
     A plain value: ``build_store`` folds input streams into one and
-    ``load_store`` reads one back from its serialized form.  Per-field
-    stores are recognised by their keys, which carry a field label.
+    ``load_store`` reads one back from its serialized form.  A per-field
+    institution store is recognised by its keys, which carry a field label.
     ``kind`` is None only for a loaded store with no entity rows.
     """
 
@@ -98,12 +98,14 @@ def build_store(
 ) -> Store:
     """Fold both streams into one store.
 
-    With ``by_field`` every key also carries the cited publication's field
-    label, and a cited publication without one is unresolved.  The result
-    does not depend on the order of either stream.
+    ``by_field`` is for institutions only: every key also carries the cited
+    publication's field label, and a cited publication without one is
+    unresolved.  The result does not depend on the order of either stream.
     """
     if kind not in ENTITY_KINDS:
         raise ConfigError(f"kind must be one of {ENTITY_KINDS}, got {kind!r}")
+    if by_field and kind != "institution":
+        raise ConfigError(f"per-field grouping needs kind 'institution', got {kind!r}")
     tallies, credited = _credited_tallies(tables, kind, by_field)
     lo, hi = window.from_year, window.to_year
     diag = Diagnostics()

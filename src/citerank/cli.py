@@ -146,7 +146,7 @@ OPTIONS: dict[str, tuple[Callable[[str], object], object, str]] = {
     "from-year": (_to_int, 2024, "window start, citing year"),
     "to-year": (_to_int, 2024, "window end, citing year"),
     "entity": (_to_choice(*ENTITY_KINDS), None, "entity kind to tally or expect"),
-    "group-by-field": (_to_bool, False, "keep one tally per (entity, field) pair"),
+    "group-by-field": (_to_bool, False, "keep one tally per (institution, field) pair"),
     "by": (_to_choice(*METRICS), "si", "ranking metric"),
     "exponent": (_to_exponent, 2.0, "stance-quality exponent"),
     "log-base": (_to_log_base, 10.0, "score logarithm base: 10, e, or a number"),
@@ -355,21 +355,18 @@ def cmd_correlate(opts: argparse.Namespace) -> int:
 
 
 def cmd_validate(opts: argparse.Namespace) -> int:
-    checked = 0
+    given = [name for name in INPUTS if getattr(opts, name) is not None]
+    if not given:
+        raise ConfigError("nothing to validate: pass at least one input flag")
+    _require_paths(opts, given)
     defects = 0
-    for name, parser_fn in INPUTS.items():
+    for name in given:
         path = getattr(opts, name)
-        if path is None:
-            continue
-        _require_paths(opts, (name,))
-        checked += 1
         report = SkipReport()
-        records = sum(1 for _ in stream(path, parser_fn, mode="lenient", report=report))
+        records = sum(1 for _ in stream(path, INPUTS[name], mode="lenient", report=report))
         row = {"file": path, "records": records, **asdict(report)}
         print(json.dumps(row, ensure_ascii=False))
         defects += report.skipped
-    if checked == 0:
-        raise ConfigError("nothing to validate: pass at least one input flag")
     return EXIT_OK if defects == 0 else EXIT_DATA
 
 
@@ -390,7 +387,7 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, bool, tuple[
     ),
     "fields": (
         cmd_fields,
-        "per-field breakdown from a per-field store",
+        "per-field breakdown from a per-field institution store",
         True,
         ("exponent", "log-base", "format", "out"),
     ),

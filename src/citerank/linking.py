@@ -21,8 +21,8 @@ ENTITY_KINDS = ("journal", "institution", "field")
 class EntityKey(NamedTuple):
     """Identity of a rankable entity.
 
-    ``field`` stays None except in per-field grouping, where tallies are
-    kept per (entity, field label) pair.  ``kind`` is one of
+    ``field`` is set only in a per-field institution store, where tallies
+    are kept per (institution, field label) pair.  ``kind`` is one of
     ``ENTITY_KINDS``; it is checked where a store is built or loaded, not
     here.
     """

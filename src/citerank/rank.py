@@ -195,17 +195,14 @@ def field_breakdown(
 ) -> list[FieldBreakdownRow]:
     """Per-field score rows from a per-field institution store.
 
-    Every row of the store must carry a field label, and a journal or field
-    store is refused; an empty store gives no rows.  Rows without a defined
-    score (no valenced statements, or zero usi or references) are dropped:
-    the breakdown is plot-ready data, and those cells would have no position
-    on a score axis.  Sorted by field label, then score descending, then
-    entity id.
+    Any other store, plain or of another kind, is refused; an empty store
+    gives no rows.  Rows without a defined score (no valenced statements, or
+    zero usi or references) are dropped: the breakdown is plot-ready data,
+    and those cells would have no position on a score axis.  Sorted by field
+    label, then score descending, then entity id.
     """
-    if any(key.field is None for key in store.tallies):
-        raise ConfigError("store lacks per-field grouping; rebuild aggregation with it enabled")
-    if store.kind not in (None, "institution"):
-        raise ConfigError(f"store holds {store.kind} rows; fields needs an institution store")
+    if store.kind not in (None, "institution") or any(key.field is None for key in store.tallies):
+        raise ConfigError("fields needs a per-field institution store")
     rows: list[FieldBreakdownRow] = []
     for key, tally in store.tallies.items():
         usi_value, si_value = _scores(tally, si_config)

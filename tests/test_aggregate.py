@@ -298,6 +298,10 @@ class TestMatchesNaiveWalk:
         self, pubs, affils, statements, events, window, kind, by_field
     ):
         tables = build_link_tables(pubs, affils)
+        if by_field and kind != "institution":
+            with pytest.raises(ConfigError):
+                build_store(statements, events, tables, window, kind, by_field=by_field)
+            return
         store = build_store(statements, events, tables, window, kind, by_field=by_field)
         got = {
             (key.id, key.field): (t.supporting, t.mentioning, t.contrasting, t.references)
@@ -317,9 +321,27 @@ class TestPerFieldGrouping:
         assert EntityKey("institution", "I2", "Physics") in store.tallies
 
     def test_fieldless_publication_is_unresolved(self):
-        store = fold([statement(cited="W3")], by_field=True)  # W3 has no field
+        # W4 credits I1 but has no field label, so only grouping drops it
+        tables = build_link_tables(
+            [PublicationRecord("W4", journal_id="J2")],
+            [AffiliationRecord("W4", frozenset({"I1"}))],
+        )
+        records = ([statement(cited="W4")], [event(cited="W4")])
+        plain = build_store(*records, tables, WINDOW, "institution")
+        assert plain.diagnostics.statements_unresolved == plain.diagnostics.events_unresolved == 0
+        store = build_store(*records, tables, WINDOW, "institution", by_field=True)
         assert store.tallies == {}
-        assert store.diagnostics.statements_unresolved == 1
+        assert store.diagnostics.statements_unresolved == store.diagnostics.events_unresolved == 1
+
+    @pytest.mark.parametrize("kind", ["journal", "field"])
+    def test_other_kinds_refused_before_any_record_is_read(self, kind):
+        def unread():
+            raise AssertionError("a stream was read")
+            yield
+
+        with pytest.raises(ConfigError) as err:
+            build_store(unread(), unread(), make_tables(), WINDOW, kind, by_field=True)
+        assert str(err.value) == f"per-field grouping needs kind 'institution', got {kind!r}"
 
 
 # lone surrogates included: dump_store never checks what it writes
@@ -419,6 +441,10 @@ class TestSerialization:
         st.booleans(),
     )
     def test_load_inverts_dump(self, statements, events, kind, by_field):
+        if by_field and kind != "institution":
+            with pytest.raises(ConfigError):
+                fold(statements, events, kind, by_field=by_field)
+            return
         store = fold(statements, events, kind, by_field=by_field)
         assume(store.tallies)  # an empty store's file does not say its kind
         assert load_store(io.StringIO(dump_store(store))) == store

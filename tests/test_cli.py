@@ -284,16 +284,52 @@ class TestFields:
 
     @pytest.mark.parametrize("kind", ["journal", "field"])
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_journal_or_field_store_rejected(self, corpus, tmp_path, capsys, kind, fmt):
+    def test_journal_or_field_store_rejected(self, tmp_path, capsys, kind, fmt):
+        # aggregate writes no such store, so this one is written by hand
         store_path = tmp_path / "grouped.jsonl"
-        args = aggregate_args(corpus, "--entity", kind, "--group-by-field")
-        assert main([*args, "--out", str(store_path)]) == 0
-        capsys.readouterr()
+        tallies = {EntityKey(kind, "X1", "Physics"): EntityTally(2, 0, 1, 10)}
+        store_path.write_text(dump_store(Store(kind, tallies)), encoding="utf-8")
         assert main(["fields", str(store_path), "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        expected = f"error: store holds {kind} rows; fields needs an institution store\n"
-        assert captured.err == expected
+        assert captured.err == "error: fields needs a per-field institution store\n"
+
+
+class TestEveryStoreHasAReader:
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("by_field", [False, True])
+    @pytest.mark.parametrize("kind", ["journal", "institution", "field"])
+    def test_written_store_is_read_or_nothing_is_written(
+        self, corpus, tmp_path, capsys, kind, by_field, mode
+    ):
+        store_path = tmp_path / "store.jsonl"
+        args = aggregate_args(corpus, "--mode", mode, "--out", str(store_path))
+        args[args.index("--entity") + 1] = kind
+        if by_field:
+            args.append("--group-by-field")
+        code = main(args)
+        captured = capsys.readouterr()
+        if by_field and kind != "institution":
+            assert (code, captured.out) == (1, "")
+            expected = f"error: per-field grouping needs kind 'institution', got {kind!r}\n"
+            assert captured.err == expected
+            assert not store_path.exists()
+            return
+        assert code == 0
+        scores = tmp_path / "scores.jsonl"
+        store = load_store(io.StringIO(store_path.read_text(encoding="utf-8")))
+        ids = sorted({key.id for key in store.tallies})
+        scores.write_text(
+            "".join(json.dumps({"id": name, "value": n}) + "\n" for n, name in enumerate(ids)),
+            encoding="utf-8",
+        )
+        codes = {}
+        for reader in ("rank", "fields", "correlate"):
+            extra = ["--scores", str(scores)] if reader == "correlate" else []
+            out = tmp_path / f"{reader}.out"
+            codes[reader] = main([reader, str(store_path), *extra, "--out", str(out)])
+        capsys.readouterr()
+        assert 0 in codes.values(), codes
 
 
 class TestOutFile:
@@ -500,6 +536,15 @@ class TestValidate:
 
     def test_nothing_to_validate_is_usage_error(self, capsys):
         assert main(["validate"]) == 1
+
+    def test_missing_later_file_prints_no_row(self, corpus, tmp_path, capsys):
+        # every path is checked before the first file is read
+        absent = tmp_path / "absent.jsonl"
+        args = ["validate", "--statements", corpus["statements"], "--pubs", str(absent)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --pubs: no such path: {absent}\n"
 
 
 class TestExitCodes:
@@ -870,6 +915,8 @@ def command_args(corpus, tmp_path, command, name):
     """A good run of ``command`` that leaves option ``name`` unset."""
     if command == "aggregate":
         args = aggregate_args(corpus)
+        if name == "group-by-field":  # per-field grouping is for institutions only
+            args[args.index("--entity") + 1] = "institution"
         return args[:-2] if name == "entity" else args
     store_path = tmp_path / "store.jsonl"
     extra = ("--entity", "institution", "--group-by-field") if command == "fields" else ()
@@ -1085,7 +1132,12 @@ class TestFuzz:
         with redirect_stderr(err):
             code = main(args)
         assert code in (0, 1, 2, 3)
-        if mode == "lenient":
+        if mode == "lenient" and by_field and kind != "institution":
+            assert code == 1
+            expected = f"error: per-field grouping needs kind 'institution', got {kind!r}\n"
+            assert err.getvalue() == expected
+            assert not (base / "store.jsonl").exists()
+        elif mode == "lenient":
             assert code == 0, err.getvalue()
             events = [json.loads(line) for line in err.getvalue().splitlines()]
             skipped = {e["file"]: e["skipped"] for e in events if e["event"] == "ingest"}
