@@ -247,7 +247,9 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     The kind, and whether the store is per-field, are recovered from the
     rows; a store mixing either raises DataError, as does any other defect.
     A defective row raises ParseError naming ``path`` and the line, as
-    ``stream`` does.
+    ``stream`` does.  Unlike in an input or scores file, a blank or
+    whitespace-only line is skipped.  A store with no diagnostics row
+    raises DataError naming ``path`` but no line.
     """
     tallies: dict[EntityKey, EntityTally] = {}
     kind: str | None = None

@@ -1058,6 +1058,27 @@ class TestConfigFile:
         assert listed == expected
 
 
+class TestReadmeApiExample:
+    def test_prints_what_aggregate_then_rank_print(self, corpus, tmp_path, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Python API\n")[1].split("\n## ")[0]
+        code = section.split("```python\n")[1].split("```")[0]
+        for name, path in corpus.items():
+            quoted = f'"{name}.jsonl"'
+            assert code.count(quoted) == 1
+            code = code.replace(quoted, repr(path))
+        exec(compile(code, "README.md", "exec"), {})
+        from_api = capsys.readouterr()
+
+        store = tmp_path / "store.jsonl"
+        assert main(aggregate_args(corpus, "--out", str(store))) == 0
+        capsys.readouterr()
+        assert main(["rank", str(store), "--top", "10", "--format", "csv"]) == 0
+        from_cli = capsys.readouterr()
+        assert from_api.out == from_cli.out
+        assert from_api.out.count("\n") == 3  # header, J1 and J2
+
+
 # -- fuzz: mixed valid and garbage NDJSON through main() -------------------
 
 # valid JSON whose journal id UTF-8 cannot encode

@@ -64,7 +64,7 @@ class TestSi:
         assert si(3, 0.5) < 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="references must be >= 0"):
             si(-1, 0.5)
         with pytest.raises(ValueError):
             si(10, 1.5)
