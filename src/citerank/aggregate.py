@@ -135,7 +135,7 @@ def build_store(
 
     # a pair counts once however often it recurs; pairs outside the window
     # or unresolvable never enter the set
-    seen_pairs: set[tuple[str, str]] = set()
+    seen_pairs: set[str] = set()
     for event in references:
         diag.events_seen += 1
         if not lo <= event.citing_year <= hi:
@@ -145,7 +145,9 @@ def build_store(
         if group is None:
             diag.events_unresolved += 1
             continue
-        pair = (event.citing_id, event.cited_id)
+        # one string per pair; the length prefix keeps ("a1", "2") and ("a", "12") apart
+        citing = event.citing_id
+        pair = f"{len(citing)}:{citing}{event.cited_id}"
         if pair in seen_pairs:
             diag.events_duplicate += 1
             continue
@@ -232,13 +234,14 @@ def dump_store(store: Store) -> str:
     ):
         counts = (tally.supporting, tally.mentioning, tally.contrasting, tally.references)
         if key.field is None:
-            lines.append("{" + _json_members(_ROW_KEYS, (key.kind, key.id, *counts)) + "}")
+            lines.append("{" + _json_members(_ROW_KEYS, (key.kind, key.id, *counts)) + "}\n")
         else:
-            lines.append("{" + _json_members(_FIELD_ROW_KEYS, (*key, *counts)) + "}")
+            lines.append("{" + _json_members(_FIELD_ROW_KEYS, (*key, *counts)) + "}\n")
     diagnostics = store.diagnostics.as_dict()
     keys = _json_keys(("kind", *diagnostics))
-    lines.append("{" + _json_members(keys, (DIAGNOSTICS_KIND, *diagnostics.values())) + "}")
-    return "\n".join(lines) + "\n"
+    lines.append("{" + _json_members(keys, (DIAGNOSTICS_KIND, *diagnostics.values())) + "}\n")
+    # rows carry their own "\n", so one join builds the text and nothing copies it
+    return "".join(lines)
 
 
 def load_store(source: Iterable[str], path: str = "<store>") -> Store:

@@ -297,6 +297,13 @@ def cmd_aggregate(opts: argparse.Namespace) -> int:
         opts.entity,
         by_field=opts.group_by_field,
     )
+    link_event = {
+        "event": "link_tables",
+        "publication_overwrites": tables.publication_overwrites,
+        "affiliation_overwrites": tables.affiliation_overwrites,
+    }
+    # the tables are the largest thing alive; free them before the store text is built
+    del tables
     text = dump_store(store)
     with _output(opts.out) as out:
         out.write(text)
@@ -304,13 +311,7 @@ def cmd_aggregate(opts: argparse.Namespace) -> int:
     if opts.mode == "lenient":
         for path, report in reports:
             _diag({"event": "ingest", "file": path, **asdict(report)})
-    _diag(
-        {
-            "event": "link_tables",
-            "publication_overwrites": tables.publication_overwrites,
-            "affiliation_overwrites": tables.affiliation_overwrites,
-        }
-    )
+    _diag(link_event)
     _diag({"event": "aggregate", **store.diagnostics.as_dict()})
     _diag_consistency(store)
     return EXIT_OK

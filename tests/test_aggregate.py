@@ -1,5 +1,8 @@
 import io
+import itertools
 import json
+import random
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -177,6 +180,43 @@ class TestReferences:
             == diag.events_seen
         )
 
+    def test_pair_key_keeps_split_apart(self):
+        # "a1" + "2" and "a" + "12" read alike once joined; they are two pairs
+        tables = build_link_tables(
+            [PublicationRecord("2", journal_id="J1"), PublicationRecord("12", journal_id="J2")], []
+        )
+        store = build_store([], [event("a1", "2"), event("a", "12")], tables, WINDOW, "journal")
+        assert store.diagnostics.events_counted == 2
+        assert store.diagnostics.events_duplicate == 0
+        assert store.tallies[EntityKey("journal", "J1")].references == 1
+        assert store.tallies[EntityKey("journal", "J2")].references == 1
+
+    def test_bytes_per_pair(self):
+        # 20,000 distinct in-window pairs citing 2,000 linked publications;
+        # events are built as the fold reads them, as a stream would, so what
+        # stays traced is the dedup set and the tallies
+        rng = random.Random(7)
+        count = 20_000
+        tables = build_link_tables(
+            [PublicationRecord(f"W{n}", journal_id=f"J{n % 50}") for n in range(2_000)], []
+        )
+
+        def events():
+            for n in range(count):
+                yield ReferenceEvent(f"C{n}", f"W{rng.randrange(2_000)}", 2024)
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = build_store([], events(), tables, WINDOW, "journal")
+            per_pair = (tracemalloc.get_traced_memory()[1] - before) / count
+        finally:
+            tracemalloc.stop()
+        assert store.diagnostics.events_counted == count
+        # measured 194 B on CPython 3.11, and 295 B with a tuple of
+        # the two ids per pair; the bound leaves 20% for other interpreter versions
+        assert per_pair < 235, per_pair
+
 
 class TestUnknownKind:
     def test_rejected(self):
@@ -313,6 +353,40 @@ class TestMatchesNaiveWalk:
         assert {name: getattr(store.diagnostics, name) for name in diag} == diag
 
 
+# every id of one or two characters over "12:" is linked, longer ones are
+# not; events cut a few shared words at random points, so two pairs often
+# read alike once joined ("1" + "12" and "11" + "2", or "1:" + "2" and
+# "1" + ":2") and the same pair often recurs
+key_alphabet = "12:"
+key_pubs = [
+    PublicationRecord("".join(chars), journal_id=f"J{chars[-1]}")
+    for size in (1, 2)
+    for chars in itertools.product(key_alphabet, repeat=size)
+]
+
+
+@st.composite
+def split_events(draw):
+    words = draw(st.lists(st.text(key_alphabet, min_size=2, max_size=4), min_size=1, max_size=3))
+    events = []
+    for _ in range(draw(st.integers(0, 20))):
+        word = draw(st.sampled_from(words))
+        cut = draw(st.integers(1, len(word) - 1))
+        events.append(ReferenceEvent(word[:cut], word[cut:], draw(st.sampled_from([2023, 2024]))))
+    return events
+
+
+class TestPairKeyMatchesTupleOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(split_events())
+    def test_tallies_and_diagnostics(self, events):
+        store = build_store([], events, build_link_tables(key_pubs, []), WINDOW, "journal")
+        got = {key.id: tally.references for key, tally in store.tallies.items()}
+        expected, diag = naive_store(key_pubs, [], [], events, WINDOW, "journal", False)
+        assert got == {name: counts[3] for (name, _), counts in expected.items()}
+        assert {name: getattr(store.diagnostics, name) for name in diag} == diag
+
+
 class TestPerFieldGrouping:
     def test_keys_carry_field_label(self):
         store = fold([statement(cited="W1"), statement(cited="W2")], kind="institution", by_field=True)
@@ -425,6 +499,27 @@ class TestSerialization:
         text = dump_store(self.build())
         reloaded = load_store(io.StringIO(text))
         assert dump_store(reloaded) == text
+
+    def test_dump_peak_per_text_byte(self):
+        # a 20,000-row per-field store: 500 institutions in 40 fields
+        rng = random.Random(3)
+        tallies = {
+            EntityKey("institution", f"I{n // 40}", f"F{n % 40}"): EntityTally(
+                rng.randrange(50), rng.randrange(500), rng.randrange(20), rng.randrange(1_000)
+            )
+            for n in range(20_000)
+        }
+        store = Store("institution", tallies, Diagnostics())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = dump_store(store)
+            ratio = (tracemalloc.get_traced_memory()[1] - before) / len(text)
+        finally:
+            tracemalloc.stop()
+        # measured 2.61 on CPython 3.11, and 3.60 when the rows are joined
+        # and a "\n" appended, which copies the whole text once more
+        assert ratio < 3, ratio
 
     def test_rows_sorted_with_trailing_diagnostics(self):
         lines = dump_store(self.build()).splitlines()

@@ -144,6 +144,40 @@ class TestAggregate:
         assert by_file[str(bad)]["skipped"] == 1
         assert by_file[str(bad)]["first_bad_line"] == 2
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_event_list_counts_overwrites(self, corpus, tmp_path, mode, capsys):
+        # W1 appears twice in each metadata file; the repeat is the same record
+        pubs = tmp_path / "repeated_pubs.jsonl"
+        pubs.write_text("".join(line + "\n" for line in [*PUBS, PUBS[0]]), encoding="utf-8")
+        affils = tmp_path / "repeated_affils.jsonl"
+        affils.write_text("".join(line + "\n" for line in [*AFFILS, AFFILS[0]]), encoding="utf-8")
+        corpus = dict(corpus, pubs=str(pubs), affiliations=str(affils))
+        assert main(aggregate_args(corpus, "--mode", mode)) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        ingest = [
+            {"event": "ingest", "file": corpus[name], "skipped": 0, "first_bad_line": None}
+            for name in ("pubs", "affiliations", "statements", "references")
+        ]
+        assert events == [
+            *(ingest if mode == "lenient" else []),
+            {"event": "link_tables", "publication_overwrites": 1, "affiliation_overwrites": 1},
+            {
+                "event": "aggregate",
+                "statements_seen": 7,
+                "statements_counted": 5,
+                "statements_out_of_window": 1,
+                "statements_unresolved": 1,
+                "events_seen": 7,
+                "events_counted": 5,
+                "events_out_of_window": 1,
+                "events_unresolved": 0,
+                "events_duplicate": 1,
+                "out_of_window": 2,
+                "unresolved": 1,
+            },
+            {"event": "consistency", "entities_flagged": 0, "status": "ok"},
+        ]
+
     def test_consistency_warning_when_statements_exceed_references(
         self, corpus, tmp_path, capsys
     ):
