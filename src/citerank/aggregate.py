@@ -101,12 +101,33 @@ def build_store(
     ``by_field`` is for institutions only: every key also carries the cited
     publication's field label, and a cited publication without one is
     unresolved.  The result does not depend on the order of either stream.
+
+    Records are counted once per credited group: a journal, a field label or
+    an institution set (with ``by_field``, plus the label).  Once both
+    streams are read, each group's counts go in full to every entity in it
+    (full counting).  A publication with no institution is unresolved.
     """
     if kind not in ENTITY_KINDS:
         raise ConfigError(f"kind must be one of {ENTITY_KINDS}, got {kind!r}")
     if by_field and kind != "institution":
         raise ConfigError(f"per-field grouping needs kind 'institution', got {kind!r}")
-    tallies, credited = _credited_tallies(tables, kind, by_field)
+    labels = tables.pub_to_field
+    if kind == "institution":
+        linked = tables.pub_to_institutions
+    else:
+        linked = tables.pub_to_journal if kind == "journal" else labels
+    # group -> [supporting, mentioning, contrasting, references]; the link
+    # tables share equal values, so a group's key costs no new strings
+    groups: dict[tuple[str | frozenset[str], str | None], list[int]] = {}
+    credited: dict[str, list[int]] = {}
+    for pub_id, names in linked.items():
+        label = labels.get(pub_id) if by_field else None
+        if not names or (by_field and label is None):
+            continue
+        counts = groups.get((names, label))
+        if counts is None:
+            counts = groups[names, label] = [0, 0, 0, 0]
+        credited[pub_id] = counts
     lo, hi = window.from_year, window.to_year
     diag = Diagnostics()
 
@@ -115,21 +136,18 @@ def build_store(
         if not lo <= rec.citing_year <= hi:
             diag.statements_out_of_window += 1
             continue
-        group = credited.get(rec.cited_id)
-        if group is None:
+        counts = credited.get(rec.cited_id)
+        if counts is None:
             diag.statements_unresolved += 1
             continue
         diag.statements_counted += 1
         stance = rec.stance
         if stance == "supporting":
-            for tally in group:
-                tally.supporting += 1
+            counts[0] += 1
         elif stance == "mentioning":
-            for tally in group:
-                tally.mentioning += 1
+            counts[1] += 1
         elif stance == "contrasting":
-            for tally in group:
-                tally.contrasting += 1
+            counts[2] += 1
         else:
             raise ValueError(f"unknown stance {stance!r}")
 
@@ -141,8 +159,8 @@ def build_store(
         if not lo <= event.citing_year <= hi:
             diag.events_out_of_window += 1
             continue
-        group = credited.get(event.cited_id)
-        if group is None:
+        counts = credited.get(event.cited_id)
+        if counts is None:
             diag.events_unresolved += 1
             continue
         # one string per pair; the length prefix keeps ("a1", "2") and ("a", "12") apart
@@ -153,54 +171,26 @@ def build_store(
             continue
         seen_pairs.add(pair)
         diag.events_counted += 1
-        for tally in group:
-            tally.references += 1
+        counts[3] += 1
 
-    # every linked entity got a tally up front; keep those a record reached
-    reached = {
-        key: tally
-        for key, tally in tallies.items()
-        if tally.supporting or tally.mentioning or tally.contrasting or tally.references
-    }
-    return Store(kind, reached, diag)
-
-
-def _credited_tallies(
-    tables: LinkTables, kind: str, by_field: bool
-) -> tuple[dict[EntityKey, EntityTally], dict[str, tuple[EntityTally, ...]]]:
-    """A zero tally per linked entity, and a map from each resolvable
-    publication id to the tallies a citation of it credits.
-
-    A journal or field publication credits its one entity; an institution
-    publication credits every affiliated institution in full, and one with
-    an empty institution set is unresolvable.  With ``by_field`` each key
-    carries the publication's field label, and a publication without one is
-    unresolvable.  Publications credited to the same set of entities share
-    one tuple, so the map costs one reference per publication.
-    """
-    labels = tables.pub_to_field
-    if kind == "institution":
-        linked = tables.pub_to_institutions.items()
-    else:
-        singles = tables.pub_to_journal if kind == "journal" else tables.pub_to_field
-        linked = ((pub_id, (name,)) for pub_id, name in singles.items())
+    # free the pair set and the credit map before the tallies are built
+    del seen_pairs, credited
     tallies: dict[EntityKey, EntityTally] = {}
-    shared: dict[tuple[Iterable[str], str | None], tuple[EntityTally, ...]] = {}
-    credited: dict[str, tuple[EntityTally, ...]] = {}
-    for pub_id, names in linked:
-        label = labels.get(pub_id) if by_field else None
-        if not names or (by_field and label is None):
+    while groups:
+        (names, label), (supporting, mentioning, contrasting, cited) = groups.popitem()
+        if not (supporting or mentioning or contrasting or cited):
             continue
-        # keys are built once per distinct (names, label) group, not per publication
-        group = shared.get((names, label))
-        if group is None:
-            keys = [EntityKey(kind, name, label) for name in names]
-            for key in keys:
-                if key not in tallies:
-                    tallies[key] = EntityTally()
-            group = shared[names, label] = tuple(tallies[key] for key in keys)
-        credited[pub_id] = group
-    return tallies, credited
+        for name in names if kind == "institution" else (names,):
+            key = EntityKey(kind, name, label)
+            tally = tallies.get(key)
+            if tally is None:
+                tallies[key] = EntityTally(supporting, mentioning, contrasting, cited)
+            else:
+                tally.supporting += supporting
+                tally.mentioning += mentioning
+                tally.contrasting += contrasting
+                tally.references += cited
+    return Store(kind, tallies, diag)
 
 
 def count_statement_excess(store: Store) -> int:

@@ -63,7 +63,8 @@ class RankSpec:
 
 
 class RankedRow(NamedTuple):
-    """One entity in a ranked table; rank is 1-based and dense.
+    """One entity in a ranked table; rank is its 1-based row number, so
+    exact ties get consecutive ranks, ordered by id.
 
     The display strings are derived from the exact values on each access,
     so only rows that are printed pay for rounding.
