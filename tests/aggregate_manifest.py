@@ -4,9 +4,12 @@ Each run is one line of ``tests/golden/aggregate_manifest.txt``: its
 arguments, its exit code and the sha256 of its stdout, its stderr and the
 ``--out`` file ("-" when no file was written).  The runs are every
 ``--entity`` × plain/``--group-by-field`` × ``--mode`` × stdout/``--out``,
-on the CLI tests' corpus and on a dirty copy of it: a repeated publication,
-a repeated affiliation and one bad statements line.  ``test_manifest.py``
-holds every line to the file.
+on the CLI tests' corpus, on a dirty copy of it (a repeated publication, a
+repeated affiliation and one bad statements line) and on a copy with one
+bad affiliations line.  The last holds that every kind, even one that reads
+no institution, parses every affiliation line: a strict run exits 2 and
+names it, a lenient run reports it.  ``test_manifest.py`` holds every line
+to the file.
 
 Each run goes in-process through ``cli.main`` with the working directory
 set to the corpus's own directory and relative paths, so the file names
@@ -52,6 +55,12 @@ CORPORA = {
         # W1 loses its field and moves journal; W2 gains institutions
         "pubs": [*PUBS, '{"id": "W1", "journal_id": "J2"}'],
         "affiliations": [*AFFILS, '{"pub_id": "W2", "institution_ids": ["I2", "I3"]}'],
+    },
+    "bad-affiliation": {
+        "statements": STATEMENTS,
+        "references": REFERENCES,
+        "pubs": PUBS,
+        "affiliations": [AFFILS[0], '{"pub_id": "W2", "institution_ids": "I1"}', *AFFILS[1:]],
     },
 }
 
