@@ -106,11 +106,20 @@ def build_store(
     an institution set (with ``by_field``, plus the label).  Once both
     streams are read, each group's counts go in full to every entity in it
     (full counting).  A publication with no institution is unresolved.
+
+    ``tables`` built for one kind and grouping (see ``build_link_tables``)
+    build only that store; any other raises ``ConfigError``.
     """
     if kind not in ENTITY_KINDS:
         raise ConfigError(f"kind must be one of {ENTITY_KINDS}, got {kind!r}")
     if by_field and kind != "institution":
         raise ConfigError(f"per-field grouping needs kind 'institution', got {kind!r}")
+    if tables.kind is not None and (tables.kind, tables.by_field) != (kind, by_field):
+        # their other maps are empty, so every record would read as unresolved
+        raise ConfigError(
+            f"link tables built for kind {tables.kind!r} (by_field={tables.by_field}) "
+            f"cannot build a kind {kind!r} (by_field={by_field}) store"
+        )
     labels = tables.pub_to_field
     if kind == "institution":
         linked = tables.pub_to_institutions

@@ -288,7 +288,9 @@ def cmd_aggregate(opts: argparse.Namespace) -> int:
         reports.append((path, report))
         return stream(path, INPUTS[name], mode=opts.mode, report=report)
 
-    tables = build_link_tables(records("pubs"), records("affiliations"))
+    tables = build_link_tables(
+        records("pubs"), records("affiliations"), opts.entity, opts.group_by_field
+    )
     store = build_store(
         records("statements"),
         records("references"),

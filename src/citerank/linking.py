@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from .errors import ConfigError
 from .ingest import AffiliationRecord, PublicationRecord
 
 __all__ = ["ENTITY_KINDS", "EntityKey", "LinkTables", "build_link_tables"]
@@ -41,6 +42,10 @@ class LinkTables:
     journal ids, field labels, institution ids and institution sets are
     shared between publications, so the tables cost little more than one
     entry per publication; callers must not rely on object identity.
+
+    ``kind`` and ``by_field`` name the store the tables were built for, and
+    only the maps that store reads are filled; the others stay empty.  With
+    ``kind`` None every map is filled, for any store.
     """
 
     pub_to_journal: dict[str, str]
@@ -48,18 +53,34 @@ class LinkTables:
     pub_to_institutions: dict[str, frozenset[str]]
     publication_overwrites: int = 0
     affiliation_overwrites: int = 0
+    kind: str | None = None
+    by_field: bool = False
 
 
 def build_link_tables(
     publications: Iterable[PublicationRecord],
     affiliations: Iterable[AffiliationRecord],
+    kind: str | None = None,
+    by_field: bool = False,
 ) -> LinkTables:
     """Fold metadata streams into lookup tables, last record per id winning.
 
     A repeated publication id replaces the earlier record wholesale: if the
     later record lacks a journal or field, the earlier value is dropped, not
     inherited.  Same for repeated affiliation pub_ids.
+
+    Given ``kind``, only the maps ``build_store`` reads for that store are
+    built: the journal map for ``"journal"``, the field map for ``"field"``,
+    the institution map for ``"institution"``, plus the field map with
+    ``by_field``.  Both streams are still read to the end, so a bad line is
+    found and both overwrite counts stay exact.  Without ``kind`` all three
+    maps are built.
     """
+    if kind is not None and kind not in ENTITY_KINDS:
+        raise ConfigError(f"kind must be one of {ENTITY_KINDS}, got {kind!r}")
+    keep_journals = kind in (None, "journal")
+    keep_fields = kind in (None, "field") or (kind == "institution" and by_field)
+    keep_institutions = kind in (None, "institution")
     # one object per distinct value; strings and frozensets never compare equal
     shared: dict = {}
     share = shared.setdefault
@@ -74,16 +95,28 @@ def build_link_tables(
             pub_to_field.pop(rec.id, None)
         else:
             seen_pubs.add(rec.id)
-        if rec.journal_id is not None:
+        if keep_journals and rec.journal_id is not None:
             pub_to_journal[rec.id] = share(rec.journal_id, rec.journal_id)
-        if rec.field is not None:
+        if keep_fields and rec.field is not None:
             pub_to_field[rec.id] = share(rec.field, rec.field)
 
     pub_to_institutions: dict[str, frozenset[str]] = {}
+    if keep_institutions:
+        seen_affiliations = pub_to_institutions
+    else:
+        # a set of pub ids still counts the overwrites, in place of the
+        # publications' set; an institution run keeps that set to the end,
+        # since freeing it here raised its peak RSS (glibc's malloc then
+        # grows the institution map on its heap)
+        del seen_pubs
+        seen_affiliations = set()
     affiliation_overwrites = 0
     for rec in affiliations:
-        if rec.pub_id in pub_to_institutions:
+        if rec.pub_id in seen_affiliations:
             affiliation_overwrites += 1
+        if not keep_institutions:
+            seen_affiliations.add(rec.pub_id)
+            continue
         ids = rec.institution_ids
         institutions = shared.get(ids)
         if institutions is None:
@@ -98,5 +131,7 @@ def build_link_tables(
         pub_to_institutions=pub_to_institutions,
         publication_overwrites=publication_overwrites,
         affiliation_overwrites=affiliation_overwrites,
+        kind=kind,
+        by_field=by_field,
     )
 

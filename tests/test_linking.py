@@ -2,8 +2,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from citerank.aggregate import Window, build_store
+from citerank.errors import ConfigError
 from citerank.ingest import (
     AffiliationRecord,
     PublicationRecord,
@@ -12,6 +14,22 @@ from citerank.ingest import (
     parse_publication,
 )
 from citerank.linking import EntityKey, build_link_tables
+from test_aggregate import (
+    random_affils,
+    random_events,
+    random_pubs,
+    random_statements,
+    random_windows,
+)
+
+# every kind and grouping build_store accepts, with the maps it reads
+STORES = {
+    ("journal", False): ("pub_to_journal",),
+    ("field", False): ("pub_to_field",),
+    ("institution", False): ("pub_to_institutions",),
+    ("institution", True): ("pub_to_institutions", "pub_to_field"),
+}
+MAPS = ("pub_to_journal", "pub_to_field", "pub_to_institutions")
 
 
 def make_tables():
@@ -108,7 +126,8 @@ class TestSharedValues:
         i2 = [next(i for i in sets[pub] if i == "I2") for pub in ("W0", "W2")]
         assert i2[0] is i2[1]
 
-    def test_table_bytes_per_publication(self):
+    @staticmethod
+    def table_bytes_per_publication(kind):
         # 20,000 publications in 500 journals and 40 fields, each with 1-2 of
         # 2,000 institutions; records are built as the fold reads them, as a
         # stream would, so only what the tables keep stays traced
@@ -127,14 +146,79 @@ class TestSharedValues:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            tables = build_link_tables(publications(), affiliations())
+            tables = build_link_tables(publications(), affiliations(), kind)
             per_pub = (tracemalloc.get_traced_memory()[0] - before) / count
         finally:
             tracemalloc.stop()
-        assert len(tables.pub_to_institutions) == count
+        return tables, per_pub
+
+    def test_table_bytes_per_publication(self):
+        tables, per_pub = self.table_bytes_per_publication(None)
+        assert len(tables.pub_to_institutions) == 20_000
         # measured 306 B on CPython 3.11, and 572 B with a copy of every value
         # per entry; the bound leaves 20% for other interpreter versions
         assert per_pub < 370, per_pub
+
+    def test_journal_table_bytes_per_publication(self):
+        tables, per_pub = self.table_bytes_per_publication("journal")
+        assert len(tables.pub_to_journal) == 20_000
+        assert not tables.pub_to_field and not tables.pub_to_institutions
+        # measured 77 B on CPython 3.11, against 306 B with all three maps;
+        # the bound leaves 20% for other interpreter versions
+        assert per_pub < 92, per_pub
+
+
+class TestTablesForOneKind:
+    """Tables built for one kind fill only the maps its store reads."""
+
+    def test_two_argument_call_fills_every_map(self):
+        # callers that name no kind, such as the benchmark's set-up, get
+        # every map, and one set of tables builds every store
+        tables = make_tables()
+        assert tables.kind is None
+        assert all(getattr(tables, name) for name in MAPS)
+        for kind, by_field in STORES:
+            store = build_store([], [], tables, Window(2024, 2024), kind, by_field)
+            assert store.kind == kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_pubs, random_affils, random_statements, random_events, random_windows)
+    def test_matches_full_build(self, pubs, affils, statements, events, window):
+        full = build_link_tables(pubs, affils)
+        full_stores = {
+            (kind, by_field): build_store(statements, events, full, window, kind, by_field)
+            for kind, by_field in STORES
+        }
+        for (kind, by_field), reads in STORES.items():
+            tables = build_link_tables(pubs, affils, kind, by_field)
+            for name in MAPS:
+                expected = getattr(full, name) if name in reads else {}
+                assert getattr(tables, name) == expected, (kind, by_field, name)
+            assert tables.publication_overwrites == full.publication_overwrites
+            assert tables.affiliation_overwrites == full.affiliation_overwrites
+            store = build_store(statements, events, tables, window, kind, by_field)
+            assert store == full_stores[kind, by_field]
+
+    @pytest.mark.parametrize("built", list(STORES))
+    def test_refused_for_another_store(self, built):
+        # their other maps are empty, so a silent build would count nothing
+        tables = build_link_tables(
+            [PublicationRecord("W1", "J1", "F1")],
+            [AffiliationRecord("W1", frozenset({"I1"}))],
+            *built,
+        )
+        statement = StatementRecord("C1", "W1", 2024, "supporting")
+        for kind, by_field in STORES:
+            if (kind, by_field) == built:
+                store = build_store([statement], [], tables, Window(2024, 2024), kind, by_field)
+                assert store.diagnostics.statements_counted == 1
+                continue
+            with pytest.raises(ConfigError, match="link tables built for kind"):
+                build_store([statement], [], tables, Window(2024, 2024), kind, by_field)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="kind must be one of"):
+            build_link_tables([], [], "author")
 
 
 class TestResolve:
