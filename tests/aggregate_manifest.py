@@ -1,15 +1,24 @@
-"""A fixed matrix of ``citerank aggregate`` runs, recorded as bytes.
+"""A fixed matrix of ``citerank`` runs, recorded as bytes.
 
 Each run is one line of ``tests/golden/aggregate_manifest.txt``: its
-arguments, its exit code and the sha256 of its stdout, its stderr and the
-``--out`` file ("-" when no file was written).  The runs are every
-``--entity`` × plain/``--group-by-field`` × ``--mode`` × stdout/``--out``,
-on the CLI tests' corpus, on a dirty copy of it (a repeated publication, a
-repeated affiliation and one bad statements line) and on a copy with one
-bad affiliations line.  The last holds that every kind, even one that reads
-no institution, parses every affiliation line: a strict run exits 2 and
-names it, a lenient run reports it.  ``test_manifest.py`` holds every line
-to the file.
+corpus, its arguments, its exit code and the sha256 of its stdout, its
+stderr and the ``--out`` file ("-" when no file was written).  The
+``aggregate`` runs are every ``--entity`` × plain/``--group-by-field`` ×
+``--mode`` × stdout/``--out``, on the CLI tests' corpus, on a dirty copy
+of it (a repeated publication, a repeated affiliation and one bad
+statements line) and on a copy with one bad affiliations line.  The last
+holds that every kind, even one that reads no institution, parses every
+affiliation line: a strict run exits 2 and names it, a lenient run
+reports it.
+
+Each lenient ``--out`` store that ``aggregate`` writes (one per kind ×
+grouping that exits 0) is then read by the store readers: ``rank`` in
+every ``--format`` × ``--by`` and ``correlate --by si|usi`` (against a
+small scores file beside the corpus) on each plain store; ``rank``
+(refused) and ``fields`` in every ``--format`` on the per-field store;
+one refused ``fields`` run on the plain institution store; and one
+``validate`` of the corpus's four inputs.  ``test_manifest.py`` holds
+every line to the file.
 
 Each run goes in-process through ``cli.main`` with the working directory
 set to the corpus's own directory and relative paths, so the file names
@@ -17,7 +26,7 @@ in stderr do not depend on where the tests run.  Messages of Python's
 ``json`` module are part of stderr, so the header names the Python
 version the file was written with.
 
-A change that alters aggregate's bytes on purpose rewrites the file with
+A change that alters these bytes on purpose rewrites the file with
 
     PYTHONPATH=src python tests/aggregate_manifest.py
 
@@ -36,11 +45,24 @@ from pathlib import Path
 
 from citerank.cli import CONFIG_ENV_VAR, main
 from citerank.linking import ENTITY_KINDS
+from citerank.rank import FORMATS, METRICS
 from test_cli import AFFILS, PUBS, REFERENCES, STATEMENTS
 
 MANIFEST = Path(__file__).parent / "golden" / "aggregate_manifest.txt"
 HEADER = f"# python {sys.version_info[0]}.{sys.version_info[1]}"
 OUT = "store.jsonl"
+SCORES = "scores.jsonl"
+# every kind's ids, so each plain store has points to correlate
+SCORE_ROWS = [
+    '{"id": "J1", "value": 2.5}',
+    '{"id": "J2", "value": 1}',
+    '{"id": "I1", "value": 3.25}',
+    '{"id": "I2", "value": 0.5}',
+    '{"id": "I3", "value": 1.5}',
+    '{"id": "Physics", "value": 4}',
+    '{"id": "Maths", "value": 2}',
+    '{"id": "X9", "value": 7}',
+]
 
 CORPORA = {
     "clean": {
@@ -69,7 +91,8 @@ def _sha(data: bytes | None) -> str:
     return "-" if data is None else hashlib.sha256(data).hexdigest()
 
 
-def _run(args: list[str]) -> str:
+def _run(args: list[str]) -> tuple[str, int, bytes | None]:
+    """The run's manifest fields, its exit code and the ``--out`` file's bytes."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = main(args)
@@ -77,7 +100,25 @@ def _run(args: list[str]) -> str:
     written = out.read_bytes() if out.exists() else None
     out.unlink(missing_ok=True)
     digests = (_sha(stdout.getvalue().encode()), _sha(stderr.getvalue().encode()), _sha(written))
-    return "\t".join((" ".join(args), str(code), *digests))
+    return "\t".join((" ".join(args), str(code), *digests)), code, written
+
+
+def _reader_runs(stores: dict[str, bool], inputs: list[str]) -> list[list[str]]:
+    """The store readers' runs on the kept stores (name -> per-field)."""
+    runs = []
+    for store, per_field in stores.items():
+        if per_field:
+            runs.append(["rank", store])
+            runs += [["fields", store, "--format", fmt] for fmt in FORMATS]
+            continue
+        runs += [
+            ["rank", store, "--format", fmt, "--by", by]
+            for fmt, by in itertools.product(FORMATS, METRICS)
+        ]
+        runs += [["correlate", store, "--scores", SCORES, "--by", by] for by in METRICS]
+    runs.append(["fields", "institution.store.jsonl"])
+    runs.append(["validate", *inputs])
+    return runs
 
 
 def manifest_lines(tmp_dir: Path) -> list[str]:
@@ -89,14 +130,23 @@ def manifest_lines(tmp_dir: Path) -> list[str]:
             (tmp_dir / corpus).mkdir()
             os.chdir(tmp_dir / corpus)
             inputs = []
-            for name, rows in files.items():
+            for name, rows in (*files.items(), ("scores", SCORE_ROWS)):
                 Path(f"{name}.jsonl").write_text("".join(row + "\n" for row in rows), "utf-8")
-                inputs += [f"--{name}", f"{name}.jsonl"]
+                if name in files:
+                    inputs += [f"--{name}", f"{name}.jsonl"]
+            stores: dict[str, bool] = {}
             for kind, by_field, mode, out in itertools.product(
                 ENTITY_KINDS, ((), ("--group-by-field",)), ("strict", "lenient"), ((), ("--out", OUT))
             ):
                 args = ["aggregate", *inputs, "--entity", kind, *by_field, "--mode", mode, *out]
-                lines.append(f"{corpus}\t{_run(args)}")
+                line, code, written = _run(args)
+                lines.append(f"{corpus}\t{line}")
+                if mode == "lenient" and written is not None and code == 0:
+                    store = f"{kind}{'-fields' if by_field else ''}.store.jsonl"
+                    Path(store).write_bytes(written)
+                    stores[store] = bool(by_field)
+            for args in _reader_runs(stores, inputs):
+                lines.append(f"{corpus}\t{_run(args)[0]}")
     finally:
         os.chdir(saved_cwd)
         if saved_config is not None:

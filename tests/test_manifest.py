@@ -1,4 +1,5 @@
-"""Hold ``citerank aggregate``'s bytes to the committed manifest.
+"""Hold the bytes of ``citerank aggregate`` and of the store readers to the
+committed manifest.
 
 See ``aggregate_manifest.py`` for the matrix and how to rewrite the file.
 """
