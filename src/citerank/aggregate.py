@@ -10,11 +10,12 @@ reference file twice does not double anyone's volume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import ConfigError, DataError, ParseError
-from .ingest import ReferenceEvent, StatementRecord, _decode_line, _has_lone_surrogate
-from .ingest import _json_keys, _json_members
+from .ingest import STANCE_CLASSES, ReferenceEvent, StatementRecord, _decode_line
+from .ingest import _has_lone_surrogate, _json_keys, _json_members
 from .linking import ENTITY_KINDS, EntityKey, LinkTables
 from .metrics import EntityTally
 
@@ -29,6 +30,11 @@ __all__ = [
 ]
 
 DIAGNOSTICS_KIND = "diagnostics"
+
+# A tally's counters, in EntityTally's field order and a store row's key order
+_COUNTERS = (*STANCE_CLASSES, "references")
+_tally_counts = attrgetter(*_COUNTERS)
+_STANCE_SLOT = {stance: _COUNTERS.index(stance) for stance in STANCE_CLASSES}
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,16 +80,15 @@ class Diagnostics:
 
 @dataclass(slots=True)
 class Store:
-    """Per-entity tallies for one entity kind, plus the diagnostics of the
-    fold that produced them.
+    """Per-entity tallies, plus the diagnostics of the fold that produced
+    them.
 
-    A plain value: ``build_store`` folds input streams into one and
-    ``load_store`` reads one back from its serialized form.  A per-field
-    institution store is recognised by its keys, which carry a field label.
-    ``kind`` is None only for a loaded store with no entity rows.
+    ``build_store`` folds input streams into one and ``load_store`` reads
+    one back.  The entity kind, and whether the store is per-field, are
+    read from the keys, which share both; a store with no rows has
+    neither, so every reader accepts it.
     """
 
-    kind: str | None
     tallies: dict[EntityKey, EntityTally] = field(default_factory=dict)
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
@@ -125,8 +130,8 @@ def build_store(
         linked = tables.pub_to_institutions
     else:
         linked = tables.pub_to_journal if kind == "journal" else labels
-    # group -> [supporting, mentioning, contrasting, references]; the link
-    # tables share equal values, so a group's key costs no new strings
+    # group -> one count per _COUNTERS name; the link tables share equal
+    # values, so a group's key costs no new strings
     groups: dict[tuple[str | frozenset[str], str | None], list[int]] = {}
     credited: dict[str, list[int]] = {}
     for pub_id, names in linked.items():
@@ -150,15 +155,10 @@ def build_store(
             diag.statements_unresolved += 1
             continue
         diag.statements_counted += 1
-        stance = rec.stance
-        if stance == "supporting":
-            counts[0] += 1
-        elif stance == "mentioning":
-            counts[1] += 1
-        elif stance == "contrasting":
-            counts[2] += 1
-        else:
-            raise ValueError(f"unknown stance {stance!r}")
+        try:
+            counts[_STANCE_SLOT[rec.stance]] += 1
+        except KeyError:
+            raise ValueError(f"unknown stance {rec.stance!r}") from None
 
     # a pair counts once however often it recurs; pairs outside the window
     # or unresolvable never enter the set
@@ -180,7 +180,7 @@ def build_store(
             continue
         seen_pairs.add(pair)
         diag.events_counted += 1
-        counts[3] += 1
+        counts[-1] += 1
 
     # free the pair set and the credit map before the tallies are built
     del seen_pairs, credited
@@ -199,14 +199,16 @@ def build_store(
                 tally.mentioning += mentioning
                 tally.contrasting += contrasting
                 tally.references += cited
-    return Store(kind, tallies, diag)
+    return Store(tallies, diag)
 
 
 def count_statement_excess(store: Store) -> int:
     """Entities whose statement total exceeds their reference count.
 
-    A handful is normal (duplicate suppression and unresolved rows cut the
-    two streams differently); a large count signals data trouble.
+    A heuristic, not a join check: it assumes each statement comes from a
+    reference in the reference stream.  Data whose statements are not drawn
+    from its references trips it whatever its quality; duplicate
+    suppression and unresolved rows also cut the two streams differently.
     """
     return sum(
         1 for tally in store.tallies.values() if tally.statement_total > tally.references
@@ -221,7 +223,6 @@ def count_statement_excess(store: Store) -> int:
 # lean on.  A row is what ``json.dumps`` writes with those separators and
 # ``ensure_ascii=False``.
 
-_COUNTERS = ("supporting", "mentioning", "contrasting", "references")
 _ROW_KEYS = _json_keys(("kind", "id", *_COUNTERS))
 _FIELD_ROW_KEYS = _json_keys(("kind", "id", "field", *_COUNTERS))
 
@@ -231,7 +232,7 @@ def dump_store(store: Store) -> str:
     for key, tally in sorted(
         store.tallies.items(), key=lambda item: (item[0].kind, item[0].id, item[0].field or "")
     ):
-        counts = (tally.supporting, tally.mentioning, tally.contrasting, tally.references)
+        counts = _tally_counts(tally)
         if key.field is None:
             lines.append("{" + _json_members(_ROW_KEYS, (key.kind, key.id, *counts)) + "}\n")
         else:
@@ -246,12 +247,15 @@ def dump_store(store: Store) -> str:
 def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     """Read a serialized store back for ranking and reporting.
 
-    The kind, and whether the store is per-field, are recovered from the
-    rows; a store mixing either raises DataError, as does any other defect.
-    A defective row raises ParseError naming ``path`` and the line, as
+    The rows must share one kind, and be all per-field or all plain; a
+    store mixing either raises DataError, as does any other defect.  A
+    defective row raises ParseError naming ``path`` and the line, as
     ``stream`` does.  Unlike in an input or scores file, a blank or
     whitespace-only line is skipped.  A store with no diagnostics row
-    raises DataError naming ``path`` but no line.
+    raises DataError naming ``path`` but no line.  In the diagnostics row a
+    missing counter reads as 0, and any other key, the derived
+    ``out_of_window`` and ``unresolved`` included, is ignored and not
+    checked against its parts.
     """
     tallies: dict[EntityKey, EntityTally] = {}
     kind: str | None = None
@@ -314,7 +318,7 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
     if diagnostics is None:
         raise DataError(f"{path}: missing trailing diagnostics record")
-    return Store(kind, tallies, diagnostics)
+    return Store(tallies, diagnostics)
 
 
 def _counter_error(row: dict) -> ParseError:

@@ -169,7 +169,8 @@ INPUTS = {
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops one leading byte order mark
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

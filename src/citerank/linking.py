@@ -20,12 +20,12 @@ ENTITY_KINDS = ("journal", "institution", "field")
 
 
 class EntityKey(NamedTuple):
-    """Identity of a rankable entity.
+    """Identity of a rankable entity; a store's kind and grouping are read
+    from its keys.
 
     ``field`` is set only in a per-field institution store, where tallies
     are kept per (institution, field label) pair.  ``kind`` is one of
-    ``ENTITY_KINDS``; it is checked where a store is built or loaded, not
-    here.
+    ``ENTITY_KINDS``; it is checked where a store is built or loaded.
     """
 
     kind: str

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
-from .aggregate import Store
+from .aggregate import Store, _tally_counts
 from .errors import ConfigError
 from .ingest import _json_keys, _json_members
 from .linking import EntityKey
@@ -149,13 +149,11 @@ def rank_entities(
     counted too.  Output order is exact metric descending, then entity id
     ascending (then field label, for per-field stores).
     """
-    if spec.kind is not None and store.kind is not None and spec.kind != store.kind:
-        raise ConfigError(
-            f"spec expects kind {spec.kind!r} but store holds {store.kind!r}"
-        )
     report = ExclusionReport()
     scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
     for key, tally in store.tallies.items():
+        if spec.kind is not None and key.kind != spec.kind:
+            raise ConfigError(f"spec expects kind {spec.kind!r} but store holds {key.kind!r}")
         if tally.valenced < spec.min_valenced:
             report.below_min_valenced += 1
             continue
@@ -202,7 +200,7 @@ def field_breakdown(
     and those cells would have no position on a score axis.  Sorted by field
     label, then score descending, then entity id.
     """
-    if store.kind not in (None, "institution") or any(key.field is None for key in store.tallies):
+    if any(key.kind != "institution" or key.field is None for key in store.tallies):
         raise ConfigError("fields needs a per-field institution store")
     rows: list[FieldBreakdownRow] = []
     for key, tally in store.tallies.items():
@@ -321,10 +319,6 @@ def _write_table(table: _Table, rows: Sequence, fmt: str, out: IO[str]) -> None:
             out.write("| " + " | ".join(table.md_cells(row)) + " |\n")
 
 
-def _counts(tally: EntityTally) -> tuple[int, int, int, int]:
-    return (tally.supporting, tally.mentioning, tally.contrasting, tally.references)
-
-
 def _md_escape(text: str) -> str:
     """A pipe would end the cell and a line break the row; GitHub-flavored
     Markdown renders ``<br>`` as a break inside the cell."""
@@ -340,7 +334,7 @@ _RANK_TABLE = _Table(
     cells=lambda row: (
         row.entity.kind,
         row.entity.id,
-        *_counts(row.tally),
+        *_tally_counts(row.tally),
         row.usi_exact,
         row.si_exact,
         row.usi_display,
@@ -353,7 +347,7 @@ _RANK_TABLE = _Table(
     ),
     md_cells=lambda row: (
         _md_escape(row.entity.id),
-        *(f"{count:,}" for count in _counts(row.tally)[:3]),
+        *(f"{count:,}" for count in _tally_counts(row.tally)[:3]),
         row.usi_display,
         row.si_display or "n/a",
     ),
@@ -367,7 +361,7 @@ _BREAKDOWN_TABLE = _Table(
     cells=lambda row: (
         row.institution.id,
         row.field,
-        *_counts(row.tally),
+        *_tally_counts(row.tally),
         row.usi_exact,
         row.si_exact,
     ),
@@ -378,7 +372,7 @@ _BREAKDOWN_TABLE = _Table(
     md_cells=lambda row: (
         _md_escape(row.institution.id),
         _md_escape(row.field),
-        *(f"{count:,}" for count in _counts(row.tally)),
+        *(f"{count:,}" for count in _tally_counts(row.tally)),
         round_display(row.usi_exact),
         round_display(row.si_exact),
     ),

@@ -64,7 +64,7 @@ def snapshot_store(table, config: SiConfig = DEFAULT_SI_CONFIG) -> Store:
     Reference counts were never published, so they are reconstructed by
     inverting the displayed (two-decimal) score at the exact support ratio.
     """
-    store = Store(table.kind)
+    store = Store()
     for row in table.rows:
         references = round(implied_references(row.si, usi_exact(row), config))
         store.tallies[EntityKey(table.kind, row.name)] = EntityTally(
@@ -444,7 +444,6 @@ def test_criterion_9_pearson_matches_reference():
     # exact self-correlation through the public correlate path
     rng2 = random.Random(99)
     store = Store(
-        "journal",
         {
             EntityKey("journal", f"J{i}"): EntityTally(
                 rng2.randint(1, 500), 0, rng2.randint(1, 50), rng2.randint(1, 10**6)

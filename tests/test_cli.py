@@ -322,7 +322,7 @@ class TestFields:
         # aggregate writes no such store, so this one is written by hand
         store_path = tmp_path / "grouped.jsonl"
         tallies = {EntityKey(kind, "X1", "Physics"): EntityTally(2, 0, 1, 10)}
-        store_path.write_text(dump_store(Store(kind, tallies)), encoding="utf-8")
+        store_path.write_text(dump_store(Store(tallies)), encoding="utf-8")
         assert main(["fields", str(store_path), "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -474,7 +474,7 @@ class TestCorrelate:
             for name, supporting in (("J1", 1), ("J2", 2), ("J3", 3))
         }
         store_path = tmp_path / "store.jsonl"
-        store_path.write_text(dump_store(Store("journal", tallies)), encoding="utf-8")
+        store_path.write_text(dump_store(Store(tallies)), encoding="utf-8")
         scores = tmp_path / "scores.jsonl"
         scores.write_text(
             '{"id": "J1", "value": 1}\n{"id": "J2", "value": 2}\n{"id": "J2", "value": 0}\n',
@@ -504,7 +504,7 @@ class TestCorrelate:
             EntityKey("institution", "I2", "Maths"): EntityTally(3, 0, 1, 10),
             EntityKey("institution", "I2", "Physics"): EntityTally(4, 0, 1, 10),
         }
-        store_path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
+        store_path.write_text(dump_store(Store(tallies)), encoding="utf-8")
         scores = tmp_path / "scores.jsonl"
         scores.write_text(
             '{"id": "I1", "value": 1.0}\n{"id": "I2", "value": 2.0}\n', encoding="utf-8"
@@ -706,7 +706,7 @@ class TestExitCodes:
             EntityKey("institution", "I1", "Physics"): EntityTally(1, 0, 1, 10),
         }
         store_path = tmp_path / "mixed.jsonl"
-        store_path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
+        store_path.write_text(dump_store(Store(tallies)), encoding="utf-8")
         out = tmp_path / "table.csv"
         out.write_bytes(b"an earlier table\n")
         assert main([command, str(store_path), "--format", "csv", "--out", str(out)]) == 2
@@ -763,7 +763,7 @@ class TestExtremeScores:
         for command, label in (("rank", None), ("fields", "Physics")):
             tallies = {EntityKey("institution", name, label): tally for name, tally in counts.items()}
             path = tmp_path / f"{command}.store.jsonl"
-            path.write_text(dump_store(Store("institution", tallies)), encoding="utf-8")
+            path.write_text(dump_store(Store(tallies)), encoding="utf-8")
             paths[command] = str(path)
         return paths
 
@@ -1021,6 +1021,10 @@ class TestConfigFile:
         config.write_bytes(b"format = \xff\n")
         assert main(aggregate_args(corpus, "--config", str(config))) == 1
         assert f"config file {config} is not valid UTF-8" in capsys.readouterr().err
+        # one leading byte order mark is dropped, not read into the first key
+        config.write_bytes(b"\xef\xbb\xbfmode = lenient\n")
+        assert main(aggregate_args(corpus, "--config", str(config))) == 0
+        assert '"event": "ingest"' in capsys.readouterr().err
 
     def test_malformed_config_line_rejected(self, corpus, tmp_path, capsys):
         config = tmp_path / "citerank.conf"

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citerank.aggregate import Store
+from citerank.aggregate import Store, Window, build_store, dump_store, load_store
 from citerank.errors import ConfigError, DataError
-from citerank.linking import EntityKey
+from citerank.linking import ENTITY_KINDS, EntityKey, build_link_tables
 from citerank.metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
 from citerank.rank import (
     METRICS,
@@ -31,8 +31,8 @@ from citerank.rank import (
 )
 
 
-def store_of(tallies: dict[EntityKey, EntityTally], kind="journal"):
-    return Store(kind, dict(tallies))
+def store_of(tallies: dict[EntityKey, EntityTally]):
+    return Store(dict(tallies))
 
 
 def export_breakdown(rows, fmt):
@@ -225,8 +225,7 @@ class TestFieldBreakdown:
                 EntityKey("institution", "I2", "Physics"): EntityTally(50, 5, 1, 400),
                 EntityKey("institution", "I1", "Maths"): EntityTally(7, 0, 1, 50),
                 EntityKey("institution", "I3", "Maths"): EntityTally(0, 9, 0, 50),
-            },
-            kind="institution",
+            }
         )
 
     def test_rows_grouped_and_sorted(self):
@@ -252,7 +251,7 @@ class TestFieldBreakdown:
     @pytest.mark.parametrize("kind", ["journal", "field"])
     def test_requires_institution_store(self, kind):
         # the rows would be labelled as institutions
-        store = store_of({EntityKey(kind, "X1", "Bio"): EntityTally(5, 0, 1, 50)}, kind=kind)
+        store = store_of({EntityKey(kind, "X1", "Bio"): EntityTally(5, 0, 1, 50)})
         with pytest.raises(ConfigError) as err:
             field_breakdown(store)
         assert str(err.value) == "fields needs a per-field institution store"
@@ -271,7 +270,7 @@ class TestFieldBreakdown:
 
     def test_empty_store_gives_header_only(self):
         # an empty per-field store cannot be told from any other empty store
-        rows = field_breakdown(store_of({}, kind="institution"))
+        rows = field_breakdown(store_of({}))
         assert rows == []
         assert export_breakdown(rows, "csv") == ORACLE_BREAKDOWN_CSV_HEADER + "\n"
 
@@ -333,8 +332,7 @@ class TestCorrelate:
                 EntityKey("institution", name, label): EntityTally(3, 0, 1, 10)
                 for name in ("I1", "I2")
                 for label in ("Maths", "Physics")
-            },
-            kind="institution",
+            }
         )
         with pytest.raises(ConfigError, match="per-field"):
             correlate(store, {"I1": 1.0, "I2": 2.0})
@@ -349,9 +347,10 @@ class TestCorrelate:
 def oracle_rank_entities(
     store: Store, spec: RankSpec
 ) -> tuple[list[RankedRow], ExclusionReport]:
-    if spec.kind is not None and store.kind is not None and spec.kind != store.kind:
+    store_kind = next((key.kind for key in store.tallies), None)
+    if spec.kind is not None and store_kind is not None and spec.kind != store_kind:
         raise ConfigError(
-            f"spec expects kind {spec.kind!r} but store holds {store.kind!r}"
+            f"spec expects kind {spec.kind!r} but store holds {store_kind!r}"
         )
     report = ExclusionReport()
     scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
@@ -437,7 +436,7 @@ def correlate_cases(draw):
     and names foreign ones, a metric and an si configuration."""
     kind = draw(st.sampled_from(["journal", "institution", "field"]))
     ids = [f"E{i}" for i in range(draw(st.integers(0, 12)))]
-    store = store_of({EntityKey(kind, name): draw(CORRELATE_TALLIES) for name in ids}, kind=kind)
+    store = store_of({EntityKey(kind, name): draw(CORRELATE_TALLIES) for name in ids})
     external = {}
     for name in draw(st.permutations(ids + ["X1", "X2"])):
         if draw(st.integers(0, 3)):
@@ -462,6 +461,69 @@ class TestCorrelateMatchesRankedOracle:
         ) == correlation_outcome(
             lambda: oracle_correlate(oracle_rank_entities(store, spec)[0], external, metric)
         )
+
+
+# -- a store and the same store read back from its file ---------------------
+
+READERS = {
+    **{
+        f"rank by {metric}": lambda store, m=metric: rank_entities(store, RankSpec(m))
+        for metric in METRICS
+    },
+    **{
+        f"rank expecting {kind}": lambda store, k=kind: rank_entities(store, RankSpec(kind=k))
+        for kind in ENTITY_KINDS
+    },
+    "fields": field_breakdown,
+    **{
+        f"correlate by {metric}": lambda store, m=metric: correlate(store, {"E1": 1, "E2": 3}, m)
+        for metric in METRICS
+    },
+}
+
+
+def reader_outcomes(store: Store) -> dict:
+    """Each reader's result on ``store``, or its error's type and message."""
+    outcomes = {}
+    for name, read in READERS.items():
+        try:
+            outcomes[name] = read(store)
+        except (ConfigError, DataError) as exc:
+            outcomes[name] = (type(exc).__name__, str(exc))
+    return outcomes
+
+
+@st.composite
+def read_back_stores(draw):
+    """A plain or per-field store of one kind, empty ones included, with ids
+    and labels that survive the round trip."""
+    kind = draw(st.sampled_from(ENTITY_KINDS))
+    labels = st.sampled_from(["Maths", "Physics"]) if draw(st.booleans()) else st.none()
+    keys = st.builds(EntityKey, st.just(kind), st.sampled_from(["E1", "E2", "E3"]), labels)
+    return store_of(draw(st.dictionaries(keys, CORRELATE_TALLIES, max_size=5)))
+
+
+class TestReadersAgreeOnReadBack:
+    """A store's kind and grouping are read from its rows, so every reader
+    gives a store and its read-back copy the same result or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(read_back_stores())
+    def test_same_outcome(self, store):
+        loaded = load_store(io.StringIO(dump_store(store)))
+        assert loaded == store
+        assert reader_outcomes(loaded) == reader_outcomes(store)
+
+    @pytest.mark.parametrize(
+        "kind, by_field", [(kind, False) for kind in ENTITY_KINDS] + [("institution", True)]
+    )
+    def test_empty_store_of_every_kind(self, kind, by_field):
+        # aggregate over streams that resolve nothing writes a store with no rows
+        tables = build_link_tables([], [], kind, by_field)
+        store = build_store([], [], tables, Window(2024, 2024), kind, by_field)
+        assert reader_outcomes(load_store(io.StringIO(dump_store(store)))) == reader_outcomes(store)
+        assert field_breakdown(store) == []
+        assert rank_entities(store, RankSpec(kind="institution")) == ([], ExclusionReport())
 
 
 class TestExports:
@@ -515,10 +577,8 @@ class TestExports:
         ]
 
     def test_breakdown_markdown_line_breaks_stay_in_their_row(self):
-        store = store_of(
-            {EntityKey("institution", "I\r1", "Phys\nics"): EntityTally(5, 0, 1, 50)},
-            kind="institution",
-        )
+        key = EntityKey("institution", "I\r1", "Phys\nics")
+        store = store_of({key: EntityTally(5, 0, 1, 50)})
         text = export_breakdown(field_breakdown(store), "md")
         assert text.split("\n")[2:] == ["| I<br>1 | Phys<br>ics | 5 | 0 | 1 | 50 | 0.83 | 1.54 |", ""]
 
@@ -535,10 +595,7 @@ class TestExports:
             export_rows([], "xml")
 
     def test_breakdown_csv_header_exact(self):
-        store = store_of(
-            {EntityKey("institution", "I1", "Physics"): EntityTally(5, 0, 1, 50)},
-            kind="institution",
-        )
+        store = store_of({EntityKey("institution", "I1", "Physics"): EntityTally(5, 0, 1, 50)})
         text = export_breakdown(field_breakdown(store), "csv")
         assert text.splitlines()[0] == ORACLE_BREAKDOWN_CSV_HEADER
         entry = next(csv.DictReader(io.StringIO(text)))
@@ -780,9 +837,7 @@ class TestCsvReadsBack:
 
     @pytest.mark.parametrize("text", EXPORT_SAMPLES)
     def test_breakdown(self, text):
-        store = store_of(
-            {EntityKey("institution", text, text): EntityTally(5, 0, 1, 50)}, kind="institution"
-        )
+        store = store_of({EntityKey("institution", text, text): EntityTally(5, 0, 1, 50)})
         rows = field_breakdown(store)
         assert read_csv(export_breakdown(rows, "csv")) == [
             ORACLE_BREAKDOWN_CSV_HEADER.split(","),
