@@ -265,8 +265,10 @@ class TestUnknownKind:
 
 class TestUnknownStance:
     def test_hand_built_record_raises(self):
-        with pytest.raises(ValueError, match="unknown stance 'refuting'"):
-            fold([statement(stance="refuting")])
+        # "references" names a counter but is no stance
+        for stance in ("refuting", "references"):
+            with pytest.raises(ValueError, match=f"unknown stance '{stance}'"):
+                fold([statement(stance=stance)])
 
     def test_only_a_counted_record_is_checked(self):
         store = fold([statement(year=2023, stance="refuting"), statement(cited="W404", stance="")])
