@@ -17,8 +17,11 @@ every ``--format`` × ``--by`` and ``correlate --by si|usi`` (against a
 small scores file beside the corpus) on each plain store; ``rank``
 (refused) and ``fields`` in every ``--format`` on the per-field store;
 one refused ``fields`` run on the plain institution store; and one
-``validate`` of the corpus's four inputs.  ``test_manifest.py`` holds
-every line to the file.
+``validate`` of the corpus's four inputs.  Three defective stores, which
+no ``aggregate`` run writes (per-field rows of kind ``journal``, per-field
+rows of kind ``field``, and a line holding only U+2028, which is not JSON
+whitespace), go through ``rank`` in every ``--format``, ``fields`` and
+``correlate``.  ``test_manifest.py`` holds every line to the file.
 
 Each run goes in-process through ``cli.main`` with the working directory
 set to the corpus's own directory and relative paths, so the file names
@@ -63,6 +66,34 @@ SCORE_ROWS = [
     '{"id": "Maths", "value": 2}',
     '{"id": "X9", "value": 7}',
 ]
+
+
+def _row(kind: str, entity_id: str, label: str | None, *counts: int) -> str:
+    field = "" if label is None else f'"field":"{label}",'
+    counters = zip(("supporting", "mentioning", "contrasting", "references"), counts)
+    members = ",".join(f'"{name}":{count}' for name, count in counters)
+    return f'{{"kind":"{kind}","id":"{entity_id}",{field}{members}}}'
+
+
+DIAGNOSTICS_ROW = '{"kind":"diagnostics"}'
+DEFECTIVE_STORES = {
+    "journal-fields.bad.jsonl": [
+        _row("journal", "J1", "Physics", 3, 1, 1, 12),
+        _row("journal", "J2", "Maths", 1, 0, 2, 5),
+        DIAGNOSTICS_ROW,
+    ],
+    "field-fields.bad.jsonl": [
+        _row("field", "Physics", "Physics", 3, 1, 1, 12),
+        _row("field", "Maths", "Maths", 1, 0, 2, 5),
+        DIAGNOSTICS_ROW,
+    ],
+    "line-separator.bad.jsonl": [
+        _row("journal", "J1", None, 3, 1, 1, 12),
+        "\u2028",
+        _row("journal", "J2", None, 1, 0, 2, 5),
+        DIAGNOSTICS_ROW,
+    ],
+}
 
 CORPORA = {
     "clean": {
@@ -121,6 +152,21 @@ def _reader_runs(stores: dict[str, bool], inputs: list[str]) -> list[list[str]]:
     return runs
 
 
+def _write_lines(name: str, rows: list[str]) -> None:
+    Path(name).write_text("".join(row + "\n" for row in rows), "utf-8")
+
+
+def _defective_runs() -> list[list[str]]:
+    """Every store reader on each defective store, in the current directory."""
+    runs = []
+    for store, rows in DEFECTIVE_STORES.items():
+        _write_lines(store, rows)
+        runs += [["rank", store, "--format", fmt] for fmt in FORMATS]
+        runs.append(["fields", store])
+        runs.append(["correlate", store, "--scores", SCORES])
+    return runs
+
+
 def manifest_lines(tmp_dir: Path) -> list[str]:
     """Run the whole matrix under ``tmp_dir`` and return the sorted lines."""
     lines = []
@@ -131,7 +177,7 @@ def manifest_lines(tmp_dir: Path) -> list[str]:
             os.chdir(tmp_dir / corpus)
             inputs = []
             for name, rows in (*files.items(), ("scores", SCORE_ROWS)):
-                Path(f"{name}.jsonl").write_text("".join(row + "\n" for row in rows), "utf-8")
+                _write_lines(f"{name}.jsonl", rows)
                 if name in files:
                     inputs += [f"--{name}", f"{name}.jsonl"]
             stores: dict[str, bool] = {}
@@ -147,6 +193,10 @@ def manifest_lines(tmp_dir: Path) -> list[str]:
                     stores[store] = bool(by_field)
             for args in _reader_runs(stores, inputs):
                 lines.append(f"{corpus}\t{_run(args)[0]}")
+        (tmp_dir / "defective").mkdir()
+        os.chdir(tmp_dir / "defective")
+        _write_lines(SCORES, SCORE_ROWS)
+        lines += [f"defective\t{_run(args)[0]}" for args in _defective_runs()]
     finally:
         os.chdir(saved_cwd)
         if saved_config is not None:
