@@ -248,10 +248,12 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     """Read a serialized store back for ranking and reporting.
 
     The rows must share one kind, and be all per-field or all plain; a
-    store mixing either raises DataError, as does any other defect.  A
-    defective row raises ParseError naming ``path`` and the line, as
-    ``stream`` does.  Unlike in an input or scores file, a blank or
-    whitespace-only line is skipped.  A store with no diagnostics row
+    store mixing either raises DataError, as does any other defect.
+    Per-field rows must be of kind ``institution``, the only per-field
+    store ``build_store`` makes.  A defective row raises ParseError naming
+    ``path`` and the line, as ``stream`` does.  Unlike in an input or
+    scores file, a line holding only JSON whitespace (space, tab, CR, LF)
+    is skipped.  A store with no diagnostics row
     raises DataError naming ``path`` but no line.  In the diagnostics row a
     missing counter reads as 0, and any other key, the derived
     ``out_of_window`` and ``unresolved`` included, is ignored and not
@@ -262,7 +264,7 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     per_field: bool | None = None
     diagnostics: Diagnostics | None = None
     for line_no, line in enumerate(source, start=1):
-        if not line.strip():
+        if not line.strip(" \t\r\n"):
             continue
         try:
             if diagnostics is not None:
@@ -291,7 +293,10 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
             if label is not None and _has_lone_surrogate(label):
                 raise ParseError("'field' holds a lone surrogate")
             if per_field is None:
+                # later rows share this row's kind and grouping, so one check covers them
                 per_field = label is not None
+                if per_field and kind != "institution":
+                    raise ParseError(f"per-field rows need kind 'institution', got {kind!r}")
             elif (label is not None) is not per_field:
                 raise ParseError("mixed per-field and plain rows")
             # JSON yields exact types, so ``type(x) is int`` excludes bools;

@@ -699,9 +699,10 @@ class TestConsistency:
 # -- load_store against a literal oracle -------------------------------------
 #
 # The oracle is the row checker as it stood before load_store was rewritten
-# for speed: json.loads, isinstance checks, a counters dict.  Two things
+# for speed: json.loads, isinstance checks, a counters dict.  Four things
 # differ from that code: the duplicate-entity message names the field label,
-# and a store mixing per-field and plain rows is rejected.
+# a store mixing per-field and plain rows is rejected, per-field rows must be
+# of kind institution, and only a line of JSON whitespace counts as blank.
 
 
 def oracle_load_store(source, path="<store>"):
@@ -710,7 +711,7 @@ def oracle_load_store(source, path="<store>"):
     per_field = None
     saw_diagnostics = False
     for line_no, line in enumerate(source, start=1):
-        if not line.strip():
+        if not line.strip(" \t\r\n"):
             continue
         if saw_diagnostics:
             raise DataError(f"{path}:{line_no}: rows after the diagnostics record")
@@ -750,6 +751,10 @@ def oracle_load_store(source, path="<store>"):
             raise DataError(f"{path}:{line_no}: 'field' must be a nonempty string")
         if per_field is None:
             per_field = label is not None
+            if per_field and kind != "institution":
+                raise DataError(
+                    f"{path}:{line_no}: per-field rows need kind 'institution', got {kind!r}"
+                )
         elif per_field != (label is not None):
             raise DataError(f"{path}:{line_no}: mixed per-field and plain rows")
         counters = {}
@@ -846,7 +851,10 @@ def store_texts(draw):
     by_field = draw(st.booleans())
     row = mostly(
         entity_rows(kind, by_field),
-        diagnostics_rows() | st.sampled_from(["", "  ", "not json", "[1]", "{}", '{"kind": [1]}', "{"]),
+        diagnostics_rows()
+        | st.sampled_from(
+            ["", "  ", "\x1c", "\u2028", "not json", "[1]", "{}", '{"kind": [1]}', "{"]
+        ),
         odds=20,
     )
     lines = draw(st.lists(row, max_size=8))

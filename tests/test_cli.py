@@ -323,10 +323,12 @@ class TestFields:
         store_path = tmp_path / "grouped.jsonl"
         tallies = {EntityKey(kind, "X1", "Physics"): EntityTally(2, 0, 1, 10)}
         store_path.write_text(dump_store(Store(tallies)), encoding="utf-8")
-        assert main(["fields", str(store_path), "--format", fmt]) == 1
+        assert main(["fields", str(store_path), "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: fields needs a per-field institution store\n"
+        assert captured.err == (
+            f"error: {store_path}:1: per-field rows need kind 'institution', got {kind!r}\n"
+        )
 
 
 class TestEveryStoreHasAReader:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citerank.aggregate import Store, Window, build_store, dump_store, load_store
-from citerank.errors import ConfigError, DataError
+from citerank.errors import ConfigError, DataError, ParseError
 from citerank.linking import ENTITY_KINDS, EntityKey, build_link_tables
 from citerank.metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
 from citerank.rank import (
@@ -510,7 +510,13 @@ class TestReadersAgreeOnReadBack:
     @settings(max_examples=300, deadline=None)
     @given(read_back_stores())
     def test_same_outcome(self, store):
-        loaded = load_store(io.StringIO(dump_store(store)))
+        text = dump_store(store)
+        if any(key.field is not None and key.kind != "institution" for key in store.tallies):
+            # no aggregate run writes such a store, and it is refused where it is read
+            with pytest.raises(ParseError, match="^<store>:1: per-field rows need kind"):
+                load_store(io.StringIO(text))
+            return
+        loaded = load_store(io.StringIO(text))
         assert loaded == store
         assert reader_outcomes(loaded) == reader_outcomes(store)
 
