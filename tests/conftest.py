@@ -13,7 +13,7 @@ CRITERION_TITLES = {
     1: "USI reproduction for all 40 published rows (±0.006)",
     2: "log-base discrimination against published scores",
     3: "published ranking-order reproduction",
-    4: "aggregation equals naive tally oracle (3 entity kinds)",
+    4: "aggregation equals the reference model, tests/reference.py (3 entity kinds)",
     5: "input-order independence (byte-identical)",
     6: "citing-year window semantics with exact complement",
     7: "metric scaling, monotonicity, bounds, inversion",

@@ -13,6 +13,7 @@ import io
 import math
 import random
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import mpmath
@@ -49,6 +50,7 @@ from published_rankings import (
     JOURNALS_BY_SI,
     USI_DISPLAY_ANOMALY,
 )
+import reference
 
 WINDOW = Window(2024, 2024)
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -159,7 +161,7 @@ def test_criterion_3_ranking_order_reproduction(table, tmp_path, capsys):
     assert got == [row.name for row in table.rows]
 
 
-# -- criteria 4 and 5: synthetic corpus vs naive oracle, determinism -------
+# -- criteria 4 and 5: synthetic corpus vs the reference model, determinism --
 
 
 def synthetic_corpus(seed=20240822):
@@ -211,55 +213,14 @@ def corpus():
     return synthetic_corpus()
 
 
-def naive_tallies(pubs, affils, statements, references, year_lo, year_hi, kind):
-    """Single-pass dict-walk oracle, sharing no code with the pipeline."""
-    journal_of, field_of, insts_of = {}, {}, {}
-    for pub in pubs:
-        if pub.journal_id is not None:
-            journal_of[pub.id] = pub.journal_id
-        if pub.field is not None:
-            field_of[pub.id] = pub.field
-    for aff in affils:
-        insts_of[aff.pub_id] = set(aff.institution_ids)
-
-    def credited(cited_id):
-        if kind == "journal":
-            return [journal_of[cited_id]] if cited_id in journal_of else []
-        if kind == "field":
-            return [field_of[cited_id]] if cited_id in field_of else []
-        return sorted(insts_of.get(cited_id, ()))
-
-    slot = {"supporting": 0, "mentioning": 1, "contrasting": 2}
-    counts: dict[str, list] = {}
-    for rec in statements:
-        if not year_lo <= rec.citing_year <= year_hi:
-            continue
-        for name in credited(rec.cited_id):
-            counts.setdefault(name, [0, 0, 0, 0])[slot[rec.stance]] += 1
-    seen = set()
-    for event in references:
-        if not year_lo <= event.citing_year <= year_hi:
-            continue
-        names = credited(event.cited_id)
-        if not names or (event.citing_id, event.cited_id) in seen:
-            continue
-        seen.add((event.citing_id, event.cited_id))
-        for name in names:
-            counts.setdefault(name, [0, 0, 0, 0])[3] += 1
-    return {name: tuple(values) for name, values in counts.items()}
-
-
 def test_criterion_4_aggregation_matches_naive_oracle(corpus):
     pubs, affils, statements, references = corpus
     start = time.perf_counter()
     tables = build_link_tables(pubs, affils)
     for kind in ENTITY_KINDS:
         store = build_store(statements, references, tables, WINDOW, kind)
-        got = {
-            key.id: (t.supporting, t.mentioning, t.contrasting, t.references)
-            for key, t in store.tallies.items()
-        }
-        expected = naive_tallies(pubs, affils, statements, references, 2024, 2024, kind)
+        got = {key: astuple(tally) for key, tally in store.tallies.items()}
+        expected, _ = reference.fold(pubs, affils, statements, references, (2024, 2024), kind)
         assert got == expected, kind
     assert time.perf_counter() - start < 5.0
 

@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +28,7 @@ from citerank.ingest import (
 )
 from citerank.linking import ENTITY_KINDS, EntityKey, build_link_tables
 from citerank.metrics import EntityTally
+import reference
 
 WINDOW = Window(2024, 2024)
 
@@ -276,64 +277,9 @@ class TestUnknownStance:
         assert store.diagnostics.statements_unresolved == 1
 
 
-def naive_store(pubs, affils, statements, events, window, kind, by_field):
-    """Expected tallies and diagnostics by a plain walk over the records."""
-    journal_of, field_of, insts_of = {}, {}, {}
-    for pub in pubs:  # a repeated id replaces the earlier record wholesale
-        for table in (journal_of, field_of):
-            table.pop(pub.id, None)
-        if pub.journal_id is not None:
-            journal_of[pub.id] = pub.journal_id
-        if pub.field is not None:
-            field_of[pub.id] = pub.field
-    for aff in affils:
-        insts_of[aff.pub_id] = aff.institution_ids
-
-    def credited(cited_id):
-        if kind == "journal":
-            names = [journal_of[cited_id]] if cited_id in journal_of else []
-        elif kind == "field":
-            names = [field_of[cited_id]] if cited_id in field_of else []
-        else:
-            names = sorted(insts_of.get(cited_id, ()))
-        if not by_field:
-            return [(name, None) for name in names]
-        if cited_id not in field_of:
-            return []
-        return [(name, field_of[cited_id]) for name in names]
-
-    counts = {}
-    diag = dict.fromkeys(
-        ["statements_" + b for b in ("seen", "counted", "out_of_window", "unresolved")]
-        + ["events_" + b for b in ("seen", "counted", "out_of_window", "unresolved", "duplicate")],
-        0,
-    )
-    slot = {"supporting": 0, "mentioning": 1, "contrasting": 2}
-    for rec in statements:
-        diag["statements_seen"] += 1
-        if not window.from_year <= rec.citing_year <= window.to_year:
-            diag["statements_out_of_window"] += 1
-        elif not credited(rec.cited_id):
-            diag["statements_unresolved"] += 1
-        else:
-            diag["statements_counted"] += 1
-            for name in credited(rec.cited_id):
-                counts.setdefault(name, [0, 0, 0, 0])[slot[rec.stance]] += 1
-    pairs = []
-    for ev in events:
-        diag["events_seen"] += 1
-        if not window.from_year <= ev.citing_year <= window.to_year:
-            diag["events_out_of_window"] += 1
-        elif not credited(ev.cited_id):
-            diag["events_unresolved"] += 1
-        elif (ev.citing_id, ev.cited_id) in pairs:
-            diag["events_duplicate"] += 1
-        else:
-            pairs.append((ev.citing_id, ev.cited_id))
-            diag["events_counted"] += 1
-            for name in credited(ev.cited_id):
-                counts.setdefault(name, [0, 0, 0, 0])[3] += 1
-    return {name: tuple(c) for name, c in counts.items()}, diag
+def as_model(store):
+    """A store as the reference model holds it: (tallies, diagnostics)."""
+    return {key: astuple(tally) for key, tally in store.tallies.items()}, asdict(store.diagnostics)
 
 
 pub_ids = st.sampled_from(["W0", "W1", "W2", "W3", "W4"])
@@ -401,14 +347,8 @@ class TestMatchesNaiveWalk:
                 build_store(statements, events, tables, window, kind, by_field=by_field)
             return
         store = build_store(statements, events, tables, window, kind, by_field=by_field)
-        got = {
-            (key.id, key.field): (t.supporting, t.mentioning, t.contrasting, t.references)
-            for key, t in store.tallies.items()
-        }
-        assert all(key.kind == kind for key in store.tallies)
-        expected, diag = naive_store(pubs, affils, statements, events, window, kind, by_field)
-        assert got == expected
-        assert {name: getattr(store.diagnostics, name) for name in diag} == diag
+        expected = reference.fold(pubs, affils, statements, events, astuple(window), kind, by_field)
+        assert as_model(store) == expected
 
 
 # every id of one or two characters over "12:" is linked, longer ones are
@@ -439,10 +379,8 @@ class TestPairKeyMatchesTupleOracle:
     @given(split_events())
     def test_tallies_and_diagnostics(self, events):
         store = build_store([], events, build_link_tables(key_pubs, []), WINDOW, "journal")
-        got = {key.id: tally.references for key, tally in store.tallies.items()}
-        expected, diag = naive_store(key_pubs, [], [], events, WINDOW, "journal", False)
-        assert got == {name: counts[3] for (name, _), counts in expected.items()}
-        assert {name: getattr(store.diagnostics, name) for name in diag} == diag
+        expected = reference.fold(key_pubs, [], [], events, astuple(WINDOW), "journal")
+        assert as_model(store) == expected
 
 
 class TestPerFieldGrouping:
@@ -507,43 +445,6 @@ def any_stores(draw):
     )
     diagnostics = Diagnostics(*[draw(dump_counters) for _ in fields(Diagnostics)])
     return Store(tallies, diagnostics)
-
-
-def oracle_dump_store(store):
-    def dumps(obj):
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-
-    lines = []
-    for key in sorted(store.tallies, key=lambda key: (key.kind, key.id, key.field or "")):
-        tally = store.tallies[key]
-        row = {"kind": key.kind, "id": key.id}
-        if key.field is not None:
-            row["field"] = key.field
-        row["supporting"] = tally.supporting
-        row["mentioning"] = tally.mentioning
-        row["contrasting"] = tally.contrasting
-        row["references"] = tally.references
-        lines.append(dumps(row))
-    diag = store.diagnostics
-    lines.append(
-        dumps(
-            {
-                "kind": "diagnostics",
-                "statements_seen": diag.statements_seen,
-                "statements_counted": diag.statements_counted,
-                "statements_out_of_window": diag.statements_out_of_window,
-                "statements_unresolved": diag.statements_unresolved,
-                "events_seen": diag.events_seen,
-                "events_counted": diag.events_counted,
-                "events_out_of_window": diag.events_out_of_window,
-                "events_unresolved": diag.events_unresolved,
-                "events_duplicate": diag.events_duplicate,
-                "out_of_window": diag.statements_out_of_window + diag.events_out_of_window,
-                "unresolved": diag.statements_unresolved + diag.events_unresolved,
-            }
-        )
-    )
-    return "\n".join(lines) + "\n"
 
 
 class TestSerialization:
@@ -674,7 +575,7 @@ class TestSerialization:
     @settings(deadline=None)
     @given(any_stores())
     def test_dump_matches_json_dumps(self, store):
-        assert dump_store(store) == oracle_dump_store(store)
+        assert dump_store(store) == reference.store_text(*as_model(store))
 
     def test_rows_after_diagnostics_rejected(self):
         rows = (

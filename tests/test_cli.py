@@ -25,8 +25,8 @@ from citerank.rank import (
     rank_entities,
     require_plain_store,
 )
+import reference
 from test_aggregate import store_texts
-from test_rank import ORACLE_BREAKDOWN_CSV_HEADER
 
 PUBS = [
     '{"id": "W1", "journal_id": "J1", "field": "Physics"}',
@@ -309,7 +309,7 @@ class TestFields:
         assert main(args) == 0
         capsys.readouterr()
         assert main(["fields", str(store_path), "--format", "csv"]) == 0
-        assert capsys.readouterr().out.splitlines() == [ORACLE_BREAKDOWN_CSV_HEADER]
+        assert capsys.readouterr().out == reference.breakdown_table([], "csv")
 
     def test_plain_store_rejected(self, corpus, tmp_path, capsys):
         store_path = tmp_path / "plain.jsonl"

@@ -4,7 +4,7 @@ import json
 import math
 import random
 import tracemalloc
-from typing import Mapping
+from dataclasses import asdict, astuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from citerank.aggregate import Store, Window, build_store, dump_store, load_store
 from citerank.errors import ConfigError, DataError, ParseError
 from citerank.linking import ENTITY_KINDS, EntityKey, build_link_tables
-from citerank.metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
+from citerank.metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig
 from citerank.rank import (
     METRICS,
-    CorrelationResult,
     ExclusionReport,
     FieldBreakdownRow,
     RankedRow,
@@ -29,6 +28,8 @@ from citerank.rank import (
     write_breakdown,
     write_rows,
 )
+import reference
+from test_aggregate import as_model
 
 
 def store_of(tallies: dict[EntityKey, EntityTally]):
@@ -272,7 +273,7 @@ class TestFieldBreakdown:
         # an empty per-field store cannot be told from any other empty store
         rows = field_breakdown(store_of({}))
         assert rows == []
-        assert export_breakdown(rows, "csv") == ORACLE_BREAKDOWN_CSV_HEADER + "\n"
+        assert export_breakdown(rows, "csv") == reference.breakdown_table([], "csv")
 
 
 class TestCorrelate:
@@ -338,80 +339,15 @@ class TestCorrelate:
             correlate(store, {"I1": 1.0, "I2": 2.0})
 
 
-# -- correlate against the ranking it used to read ------------------------
-#
-# Before correlate read the store, it took rank_entities' rows; these two
-# functions are that path, copied literally, as the reference for r's bits.
-
-
-def oracle_rank_entities(
-    store: Store, spec: RankSpec
-) -> tuple[list[RankedRow], ExclusionReport]:
-    store_kind = next((key.kind for key in store.tallies), None)
-    if spec.kind is not None and store_kind is not None and spec.kind != store_kind:
-        raise ConfigError(
-            f"spec expects kind {spec.kind!r} but store holds {store_kind!r}"
-        )
-    report = ExclusionReport()
-    scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
-    for key, tally in store.tallies.items():
-        if tally.valenced < spec.min_valenced:
-            report.below_min_valenced += 1
-            continue
-        if tally.references < spec.min_references:
-            report.below_min_references += 1
-            continue
-        usi_value = usi(tally.supporting, tally.contrasting)
-        si_value = (
-            None if usi_value is None else si(tally.references, usi_value, spec.si_config)
-        )
-        metric_value = usi_value if spec.metric == "usi" else si_value
-        if metric_value is None:
-            report.undefined_metric += 1
-            continue
-        assert usi_value is not None
-        scored.append((metric_value, key, tally, usi_value, si_value))
-
-    scored.sort(key=lambda item: (-item[0], item[1].id, item[1].field or ""))
-    if spec.top_k is not None and len(scored) > spec.top_k:
-        report.beyond_top_k = len(scored) - spec.top_k
-        scored = scored[: spec.top_k]
-
-    rows = [
-        RankedRow(position, key, tally, usi_value, si_value)
-        for position, (_, key, tally, usi_value, si_value) in enumerate(scored, start=1)
-    ]
-    return rows, report
-
-
-def oracle_correlate(
-    rows: list[RankedRow], external: Mapping[str, float], metric: str = "usi"
-) -> CorrelationResult:
-    if metric not in METRICS:
-        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
-    points: list[tuple[float, float]] = []
-    unmatched_rows = 0
-    for row in rows:
-        outside = external.get(row.entity.id)
-        value = row.usi_exact if metric == "usi" else row.si_exact
-        if outside is None or value is None:
-            unmatched_rows += 1
-            continue
-        points.append((value, float(outside)))
-    return CorrelationResult(
-        r=pearson(points),
-        matched=len(points),
-        unmatched_rows=unmatched_rows,
-        unmatched_external=len(external) - len(points),
-    )
+# -- correlate against the reference model's ranked rows -------------------
 
 
 def correlation_outcome(compute):
     try:
         result = compute()
-    except DataError as exc:
+    except (DataError, reference.Refused) as exc:
         return ("error", str(exc))
-    return (result.r.hex(), result.matched, result.unmatched_rows, result.unmatched_external)
+    return {**result, "r": result["r"].hex()}
 
 
 # small counters make ties in usi and si common, so the summing order counts;
@@ -455,11 +391,11 @@ class TestCorrelateMatchesRankedOracle:
     @given(correlate_cases())
     def test_same_r_bits_counts_and_errors(self, case):
         store, external, metric, si_config = case
-        spec = RankSpec(metric=metric, si_config=si_config)
+        tallies, _ = as_model(store)
         assert correlation_outcome(
-            lambda: correlate(store, external, metric, si_config)
+            lambda: asdict(correlate(store, external, metric, si_config))
         ) == correlation_outcome(
-            lambda: oracle_correlate(oracle_rank_entities(store, spec)[0], external, metric)
+            lambda: reference.correlate(tallies, external, metric, *astuple(si_config))
         )
 
 
@@ -513,8 +449,11 @@ class TestReadersAgreeOnReadBack:
         text = dump_store(store)
         if any(key.field is not None and key.kind != "institution" for key in store.tallies):
             # no aggregate run writes such a store, and it is refused where it is read
-            with pytest.raises(ParseError, match="^<store>:1: per-field rows need kind"):
+            with pytest.raises(ParseError, match="^<store>:1: per-field rows need kind") as error:
                 load_store(io.StringIO(text))
+            with pytest.raises(reference.Refused) as model_error:
+                reference.read_store(text, "<store>")
+            assert str(model_error.value) == str(error.value)
             return
         loaded = load_store(io.StringIO(text))
         assert loaded == store
@@ -544,7 +483,7 @@ class TestExports:
 
     def test_csv_header_exact(self):
         text = export_rows(self.rows(), "csv")
-        assert text.splitlines()[0] == ORACLE_RANK_CSV_HEADER
+        assert text.splitlines()[0] == ",".join(reference.RANK_COLUMNS)
 
     def test_csv_quotes_commas_and_round_trips_exact_values(self):
         rows = self.rows()
@@ -592,7 +531,7 @@ class TestExports:
         assert export_rows(self.rows(), "md") == export_rows(self.rows(), "md")
 
     def test_empty_rows_still_valid(self):
-        assert export_rows([], "csv") == ORACLE_RANK_CSV_HEADER + "\n"
+        assert export_rows([], "csv") == reference.rank_table([], "csv")
         assert json.loads(export_rows([], "json")) == []
         assert export_rows([], "md").splitlines()[0].startswith("| Entity")
 
@@ -603,14 +542,14 @@ class TestExports:
     def test_breakdown_csv_header_exact(self):
         store = store_of({EntityKey("institution", "I1", "Physics"): EntityTally(5, 0, 1, 50)})
         text = export_breakdown(field_breakdown(store), "csv")
-        assert text.splitlines()[0] == ORACLE_BREAKDOWN_CSV_HEADER
+        assert text.splitlines()[0] == ",".join(reference.BREAKDOWN_COLUMNS)
         entry = next(csv.DictReader(io.StringIO(text)))
         assert entry["institution"] == "I1"
         assert entry["field"] == "Physics"
         assert float(entry["usi_exact"]) == 5 / 6
 
 
-# -- exports against literal oracles ------------------------------------------
+# -- exports against the reference model -------------------------------------
 
 EXPORT_SAMPLES = [
     'q"uote',
@@ -654,46 +593,34 @@ breakdown_rows = st.lists(
 )
 
 
+def model_rows(rows):
+    """Ranked rows as the reference model's."""
+    return [
+        reference.Ranked(row.rank, *row.entity[:2], *astuple(row.tally), row.usi_exact,
+                         row.si_exact)
+        for row in rows
+    ]
+
+
+def model_cells(rows):
+    """Breakdown rows as the reference model's."""
+    return [
+        reference.Cell(row.institution.id, row.field, *astuple(row.tally), row.usi_exact,
+                       row.si_exact)
+        for row in rows
+    ]
+
+
 class TestJsonExportMatchesDumps:
     @settings(deadline=None)
     @given(ranked_rows)
     def test_rows(self, rows):
-        payload = [
-            {
-                "kind": row.entity.kind,
-                "id": row.entity.id,
-                "supporting": row.tally.supporting,
-                "mentioning": row.tally.mentioning,
-                "contrasting": row.tally.contrasting,
-                "references": row.tally.references,
-                "usi_exact": row.usi_exact,
-                "si_exact": row.si_exact,
-                "usi_display": row.usi_display,
-                "si_display": row.si_display,
-                "rank": row.rank,
-            }
-            for row in rows
-        ]
-        expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-        assert export_rows(rows, "json") == expected
+        assert export_rows(rows, "json") == reference.rank_table(model_rows(rows), "json")
 
     @settings(deadline=None)
     @given(breakdown_rows)
     def test_breakdown(self, rows):
-        payload = [
-            {
-                "institution": row.institution.id,
-                "field": row.field,
-                "supporting": row.tally.supporting,
-                "mentioning": row.tally.mentioning,
-                "contrasting": row.tally.contrasting,
-                "references": row.tally.references,
-                "usi_exact": row.usi_exact,
-                "si_exact": row.si_exact,
-            }
-            for row in rows
-        ]
-        expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        expected = reference.breakdown_table(model_cells(rows), "json")
         assert export_breakdown(rows, "json") == expected
 
     def test_empty(self):
@@ -701,124 +628,21 @@ class TestJsonExportMatchesDumps:
         assert export_breakdown([], "json") == "[]\n"
 
 
-# The csv and markdown writers as they were before the exports shared one
-# table writer, kept as oracles.  The edits: markdown cells also write line
-# breaks as <br>, so every row stays on one line, and csv rows are written
-# with a CRLF terminator, so csv.writer quotes a cell holding a bare CR as
-# well as one holding LF, and then end in LF.
-
-ORACLE_RANK_CSV_HEADER = (
-    "kind,id,supporting,mentioning,contrasting,references,"
-    "usi_exact,si_exact,usi_display,si_display,rank"
-)
-ORACLE_BREAKDOWN_CSV_HEADER = (
-    "institution,field,supporting,mentioning,contrasting,references,usi_exact,si_exact"
-)
-
-
-def oracle_md_escape(text):
-    text = text.replace("|", "\\|")
-    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
-
-
-def oracle_csv_line(cells):
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
-    return buffer.getvalue().removesuffix("\r\n") + "\n"
-
-
-def oracle_rows_csv(rows):
-    lines = [oracle_csv_line(ORACLE_RANK_CSV_HEADER.split(","))]
-    for row in rows:
-        cells = [
-            row.entity.kind,
-            row.entity.id,
-            row.tally.supporting,
-            row.tally.mentioning,
-            row.tally.contrasting,
-            row.tally.references,
-            repr(row.usi_exact),
-            "" if row.si_exact is None else repr(row.si_exact),
-            row.usi_display,
-            row.si_display,
-            row.rank,
-        ]
-        lines.append(oracle_csv_line(cells))
-    return "".join(lines)
-
-
-def oracle_rows_markdown(rows):
-    lines = [
-        "| Entity | Supporting | Mentioning | Contrasting | USI | SI |",
-        "| :-- | --: | --: | --: | --: | --: |",
-    ]
-    for row in rows:
-        lines.append(
-            "| {} | {:,} | {:,} | {:,} | {} | {} |".format(
-                oracle_md_escape(row.entity.id),
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.usi_display,
-                row.si_display or "n/a",
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def oracle_breakdown_csv(rows):
-    lines = [oracle_csv_line(ORACLE_BREAKDOWN_CSV_HEADER.split(","))]
-    for row in rows:
-        cells = [
-            row.institution.id,
-            row.field,
-            row.tally.supporting,
-            row.tally.mentioning,
-            row.tally.contrasting,
-            row.tally.references,
-            repr(row.usi_exact),
-            repr(row.si_exact),
-        ]
-        lines.append(oracle_csv_line(cells))
-    return "".join(lines)
-
-
-def oracle_breakdown_markdown(rows):
-    lines = [
-        "| Institution | Field | Supporting | Mentioning | Contrasting | References | USI | SI |",
-        "| :-- | :-- | --: | --: | --: | --: | --: | --: |",
-    ]
-    for row in rows:
-        lines.append(
-            "| {} | {} | {:,} | {:,} | {:,} | {:,} | {} | {} |".format(
-                oracle_md_escape(row.institution.id),
-                oracle_md_escape(row.field),
-                row.tally.supporting,
-                row.tally.mentioning,
-                row.tally.contrasting,
-                row.tally.references,
-                round_display(row.usi_exact),
-                round_display(row.si_exact),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 class TestCsvAndMarkdownExportsMatchOracles:
     @settings(deadline=None)
     @given(ranked_rows)
     def test_rows(self, rows):
-        assert export_rows(rows, "csv") == oracle_rows_csv(rows)
+        assert export_rows(rows, "csv") == reference.rank_table(model_rows(rows), "csv")
         text = export_rows(rows, "md")
-        assert text == oracle_rows_markdown(rows)
+        assert text == reference.rank_table(model_rows(rows), "md")
         assert text.count("\n") == len(rows) + 2
 
     @settings(deadline=None)
     @given(breakdown_rows)
     def test_breakdown(self, rows):
-        assert export_breakdown(rows, "csv") == oracle_breakdown_csv(rows)
+        assert export_breakdown(rows, "csv") == reference.breakdown_table(model_cells(rows), "csv")
         text = export_breakdown(rows, "md")
-        assert text == oracle_breakdown_markdown(rows)
+        assert text == reference.breakdown_table(model_cells(rows), "md")
         assert text.count("\n") == len(rows) + 2
 
 
@@ -834,7 +658,7 @@ class TestCsvReadsBack:
         rows = rank_entities(journal_store({text: (3, 0, 1, 50)}), RankSpec())[0]
         row = rows[0]
         assert read_csv(export_rows(rows, "csv")) == [
-            ORACLE_RANK_CSV_HEADER.split(","),
+            list(reference.RANK_COLUMNS),
             [
                 "journal", text, "3", "0", "1", "50", repr(row.usi_exact),
                 repr(row.si_exact), row.usi_display, row.si_display, "1",
@@ -846,7 +670,7 @@ class TestCsvReadsBack:
         store = store_of({EntityKey("institution", text, text): EntityTally(5, 0, 1, 50)})
         rows = field_breakdown(store)
         assert read_csv(export_breakdown(rows, "csv")) == [
-            ORACLE_BREAKDOWN_CSV_HEADER.split(","),
+            list(reference.BREAKDOWN_COLUMNS),
             [text, text, "5", "0", "1", "50", repr(rows[0].usi_exact), repr(rows[0].si_exact)],
         ]
 
@@ -883,12 +707,12 @@ class TestWrittenBytesMatchStringExports:
             )
 
     def test_empty(self):
-        for write, header, md_columns in (
-            (write_rows, ORACLE_RANK_CSV_HEADER, "| Entity |"),
-            (write_breakdown, ORACLE_BREAKDOWN_CSV_HEADER, "| Institution |"),
+        for write, table, md_columns in (
+            (write_rows, reference.rank_table, "| Entity |"),
+            (write_breakdown, reference.breakdown_table, "| Institution |"),
         ):
             assert written_bytes(write, [], "json") == b"[]\n"
-            assert written_bytes(write, [], "csv") == (header + "\n").encode()
+            assert written_bytes(write, [], "csv") == table([], "csv").encode()
             md = written_bytes(write, [], "md").decode()
             assert md.startswith(md_columns)
             assert md.count("\n") == 2 and md.endswith("|\n")
