@@ -15,13 +15,18 @@ Each lenient ``--out`` store that ``aggregate`` writes (one per kind ×
 grouping that exits 0) is then read by the store readers: ``rank`` in
 every ``--format`` × ``--by`` and ``correlate --by si|usi`` (against a
 small scores file beside the corpus) on each plain store; ``rank``
-(refused) and ``fields`` in every ``--format`` on the per-field store;
+(refused) and ``fields`` in every ``--format``, with the default ``si``
+and with ``--exponent 3`` and ``--log-base e``, on the per-field store;
 one refused ``fields`` run on the plain institution store; and one
 ``validate`` of the corpus's four inputs.  Three defective stores, which
 no ``aggregate`` run writes (per-field rows of kind ``journal``, per-field
 rows of kind ``field``, and a line holding only U+2028, which is not JSON
 whitespace), go through ``rank`` in every ``--format``, ``fields`` and
-``correlate``.  ``test_manifest.py`` holds every line to the file.
+``correlate``.  One valid hand-written per-field store of exact ties
+(two institutions with equal tallies in one field, one institution in two
+fields, and one cell with an undefined ``si``) goes through ``fields`` in
+every ``--format`` and a refused ``rank``.  ``test_manifest.py`` holds
+every line to the file.
 
 Each run goes in-process through ``cli.main`` with the working directory
 set to the corpus's own directory and relative paths, so the file names
@@ -76,6 +81,7 @@ def _row(kind: str, entity_id: str, label: str | None, *counts: int) -> str:
 
 
 DIAGNOSTICS_ROW = '{"kind":"diagnostics"}'
+SI_OPTIONS = (("--exponent", "3"), ("--log-base", "e"))
 DEFECTIVE_STORES = {
     "journal-fields.bad.jsonl": [
         _row("journal", "J1", "Physics", 3, 1, 1, 12),
@@ -94,6 +100,14 @@ DEFECTIVE_STORES = {
         DIAGNOSTICS_ROW,
     ],
 }
+TIES_STORE = "ties-fields.store.jsonl"
+TIES_ROWS = [
+    _row("institution", "I2", "Physics", 3, 1, 1, 12),
+    _row("institution", "I1", "Physics", 3, 1, 1, 12),
+    _row("institution", "I1", "Maths", 3, 1, 1, 12),
+    _row("institution", "I3", "Maths", 0, 4, 0, 9),
+    DIAGNOSTICS_ROW,
+]
 
 CORPORA = {
     "clean": {
@@ -140,7 +154,10 @@ def _reader_runs(stores: dict[str, bool], inputs: list[str]) -> list[list[str]]:
     for store, per_field in stores.items():
         if per_field:
             runs.append(["rank", store])
-            runs += [["fields", store, "--format", fmt] for fmt in FORMATS]
+            runs += [
+                ["fields", store, "--format", fmt, *si_options]
+                for fmt, si_options in itertools.product(FORMATS, ((), *SI_OPTIONS))
+            ]
             continue
         runs += [
             ["rank", store, "--format", fmt, "--by", by]
@@ -165,6 +182,13 @@ def _defective_runs() -> list[list[str]]:
         runs.append(["fields", store])
         runs.append(["correlate", store, "--scores", SCORES])
     return runs
+
+
+def _ties_runs() -> list[list[str]]:
+    """``fields`` in every format and a refused ``rank`` on the ties store,
+    in the current directory."""
+    _write_lines(TIES_STORE, TIES_ROWS)
+    return [["fields", TIES_STORE, "--format", fmt] for fmt in FORMATS] + [["rank", TIES_STORE]]
 
 
 def manifest_lines(tmp_dir: Path) -> list[str]:
@@ -197,6 +221,9 @@ def manifest_lines(tmp_dir: Path) -> list[str]:
         os.chdir(tmp_dir / "defective")
         _write_lines(SCORES, SCORE_ROWS)
         lines += [f"defective\t{_run(args)[0]}" for args in _defective_runs()]
+        (tmp_dir / "ties").mkdir()
+        os.chdir(tmp_dir / "ties")
+        lines += [f"ties\t{_run(args)[0]}" for args in _ties_runs()]
     finally:
         os.chdir(saved_cwd)
         if saved_config is not None:

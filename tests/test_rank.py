@@ -359,6 +359,7 @@ CORRELATE_TALLIES = st.builds(
     st.sampled_from([0, 1, 2, 3, 4, 5, 6, 5994]),
     st.integers(0, 40) | st.sampled_from([0, 10**9]),
 )
+SI_CONFIGS = [DEFAULT_SI_CONFIG, SiConfig(exponent=1.5, log_base=math.e), SiConfig(exponent=1e308)]
 CORRELATE_SCORES = (
     st.integers(-3, 3)
     | st.floats(-1e6, 1e6, allow_nan=False)
@@ -378,12 +379,7 @@ def correlate_cases(draw):
         if draw(st.integers(0, 3)):
             external[name] = draw(CORRELATE_SCORES)
     metric = draw(st.sampled_from(METRICS))
-    si_config = draw(
-        st.sampled_from(
-            [DEFAULT_SI_CONFIG, SiConfig(exponent=1.5, log_base=math.e), SiConfig(exponent=1e308)]
-        )
-    )
-    return store, external, metric, si_config
+    return store, external, metric, draw(st.sampled_from(SI_CONFIGS))
 
 
 class TestCorrelateMatchesRankedOracle:
@@ -396,6 +392,46 @@ class TestCorrelateMatchesRankedOracle:
             lambda: asdict(correlate(store, external, metric, si_config))
         ) == correlation_outcome(
             lambda: reference.correlate(tallies, external, metric, *astuple(si_config))
+        )
+
+
+# -- fields against the reference model's cells ---------------------------
+
+
+@st.composite
+def breakdown_cases(draw):
+    """A per-field institution store and an si configuration.  Its cells
+    share a few tallies, so exact si ties within and across fields are
+    common, and undefined-si cells are too."""
+    pool = draw(st.lists(CORRELATE_TALLIES, min_size=1, max_size=3))
+    keys = st.builds(
+        EntityKey,
+        st.just("institution"),
+        st.sampled_from(["I1", "I2", "I3", "I4"]),
+        st.sampled_from(["Maths", "Physics", "Bio"]),
+    )
+    store = store_of(draw(st.dictionaries(keys, st.sampled_from(pool), max_size=12)))
+    return store, draw(st.sampled_from(SI_CONFIGS))
+
+
+def breakdown_outcome(compute):
+    try:
+        return compute()
+    except (DataError, reference.Refused) as exc:
+        return ("error", str(exc))
+
+
+class TestBreakdownMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(breakdown_cases())
+    def test_same_cells_and_errors(self, case):
+        store, si_config = case
+        tallies, _ = as_model(store)
+        rows = breakdown_outcome(lambda: field_breakdown(store, si_config))
+        if isinstance(rows, list):
+            rows = model_cells(rows)
+        assert rows == breakdown_outcome(
+            lambda: reference.breakdown(tallies, *astuple(si_config))
         )
 
 
