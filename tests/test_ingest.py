@@ -336,6 +336,8 @@ def _oracle_object(line):
         raise ParseError(f"invalid JSON: {exc.msg}") from exc
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -472,6 +474,8 @@ class TestParsersMatchOracle:
             pytest.param(
                 '{"cited_id": "W1", "citing_year": 2024, "class": "supporting"}', id="missing-id"
             ),
+            pytest.param("[" * 100_000, id="deep-array"),
+            pytest.param(GOOD.replace('"C1"', "[" * 100_000), id="deep-citing-id"),
         ],
     )
     def test_named_cases(self, line):

@@ -116,7 +116,7 @@ def parsed(lines, oracle):
     for line_no, raw in enumerate(lines, start=1):
         try:
             records.append(oracle(raw.decode("utf-8") + "\n"))
-        except (UnicodeDecodeError, ParseError, RecursionError):
+        except (UnicodeDecodeError, ParseError):
             bad.append(line_no)
     return records, bad
 
