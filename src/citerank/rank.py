@@ -27,7 +27,6 @@ __all__ = [
     "RankSpec",
     "RankedRow",
     "ExclusionReport",
-    "FieldBreakdownRow",
     "CorrelationResult",
     "round_display",
     "rank_entities",
@@ -179,38 +178,23 @@ def rank_entities(
     return rows, report
 
 
-class FieldBreakdownRow(NamedTuple):
-    """One (institution, field) cell with a defined impact-weighted score."""
-
-    institution: EntityKey
-    field: str
-    tally: EntityTally
-    usi_exact: float
-    si_exact: float
-
-
 def field_breakdown(
     store: Store, si_config: SiConfig = DEFAULT_SI_CONFIG
-) -> list[FieldBreakdownRow]:
-    """Per-field score rows from a per-field institution store.
+) -> list[RankedRow]:
+    """The si ranking of a per-field institution store, grouped by field label.
 
     Any other store, plain or of another kind, is refused; an empty store
-    gives no rows.  Rows without a defined score (no valenced statements, or
+    gives no rows.  Cells without a defined score (no valenced statements, or
     zero usi or references) are dropped: the breakdown is plot-ready data,
     and those cells would have no position on a score axis.  Sorted by field
-    label, then score descending, then entity id.
+    label, then score descending, then entity id.  A row's ``rank`` is its
+    place in the whole store's si order; no table prints it.
     """
     if any(key.kind != "institution" or key.field is None for key in store.tallies):
         raise ConfigError("fields needs a per-field institution store")
-    rows: list[FieldBreakdownRow] = []
-    for key, tally in store.tallies.items():
-        usi_value, si_value = _scores(tally, si_config)
-        if si_value is None:
-            continue
-        rows.append(
-            FieldBreakdownRow(EntityKey(key.kind, key.id), key.field, tally, usi_value, si_value)
-        )
-    rows.sort(key=lambda row: (row.field, -row.si_exact, row.institution.id))
+    rows, _ = rank_entities(store, RankSpec(si_config=si_config))
+    # stable, so each field keeps the ranking's (si descending, id) order
+    rows.sort(key=lambda row: row.entity.field)
     return rows
 
 
@@ -243,6 +227,8 @@ def correlate(
     require_plain_store(store, "correlate")
     matched: list[tuple[float, str, float]] = []
     defined = 0
+    # not through rank_entities, which would sort and build a row for every
+    # scored entity, where correlate needs to sort only the matched points
     for key, tally in store.tallies.items():
         usi_value, si_value = _scores(tally, si_config)
         value = usi_value if metric == "usi" else si_value
@@ -359,8 +345,8 @@ _BREAKDOWN_TABLE = _Table(
         "references", "usi_exact", "si_exact",
     ),
     cells=lambda row: (
-        row.institution.id,
-        row.field,
+        row.entity.id,
+        row.entity.field,
         *_tally_counts(row.tally),
         row.usi_exact,
         row.si_exact,
@@ -370,11 +356,11 @@ _BREAKDOWN_TABLE = _Table(
         "| :-- | :-- | --: | --: | --: | --: | --: | --: |"
     ),
     md_cells=lambda row: (
-        _md_escape(row.institution.id),
-        _md_escape(row.field),
+        _md_escape(row.entity.id),
+        _md_escape(row.entity.field),
         *(f"{count:,}" for count in _tally_counts(row.tally)),
-        round_display(row.usi_exact),
-        round_display(row.si_exact),
+        row.usi_display,
+        row.si_display,
     ),
 )
 
@@ -390,6 +376,6 @@ def write_rows(rows: Sequence[RankedRow], fmt: str, out: IO[str]) -> None:
     _write_table(_RANK_TABLE, rows, fmt, out)
 
 
-def write_breakdown(rows: Sequence[FieldBreakdownRow], fmt: str, out: IO[str]) -> None:
+def write_breakdown(rows: Sequence[RankedRow], fmt: str, out: IO[str]) -> None:
     """Write the per-field breakdown table to ``out``, row by row."""
     _write_table(_BREAKDOWN_TABLE, rows, fmt, out)

@@ -17,7 +17,6 @@ from citerank.metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig
 from citerank.rank import (
     METRICS,
     ExclusionReport,
-    FieldBreakdownRow,
     RankedRow,
     RankSpec,
     correlate,
@@ -231,13 +230,11 @@ class TestFieldBreakdown:
 
     def test_rows_grouped_and_sorted(self):
         rows = field_breakdown(self.make_store())
-        assert [(row.field, row.institution.id) for row in rows] == [
+        assert [(row.entity.field, row.entity.id) for row in rows] == [
             ("Maths", "I1"),
             ("Physics", "I2"),
             ("Physics", "I1"),
         ]
-        # grouped entity key carries no field label; the row does
-        assert all(row.institution.field is None for row in rows)
 
     def test_undefined_rows_dropped(self):
         rows = field_breakdown(self.make_store())
@@ -429,6 +426,7 @@ class TestBreakdownMatchesReference:
         tallies, _ = as_model(store)
         rows = breakdown_outcome(lambda: field_breakdown(store, si_config))
         if isinstance(rows, list):
+            assert sorted(row.rank for row in rows) == list(range(1, len(rows) + 1))
             rows = model_cells(rows)
         assert rows == breakdown_outcome(
             lambda: reference.breakdown(tallies, *astuple(si_config))
@@ -618,9 +616,9 @@ ranked_rows = st.lists(
 )
 breakdown_rows = st.lists(
     st.builds(
-        FieldBreakdownRow,
-        st.builds(EntityKey, st.just("institution"), export_texts),
-        export_texts,
+        RankedRow,
+        st.integers(1, 10**6),
+        st.builds(EntityKey, st.just("institution"), export_texts, export_texts),
         tallies,
         usi_values,
         si_values,
@@ -641,8 +639,7 @@ def model_rows(rows):
 def model_cells(rows):
     """Breakdown rows as the reference model's."""
     return [
-        reference.Cell(row.institution.id, row.field, *astuple(row.tally), row.usi_exact,
-                       row.si_exact)
+        reference.Cell(*row.entity[1:], *astuple(row.tally), row.usi_exact, row.si_exact)
         for row in rows
     ]
 
