@@ -9,7 +9,12 @@ of it (a repeated publication, a repeated affiliation and one bad
 statements line) and on a copy with one bad affiliations line.  The last
 holds that every kind, even one that reads no institution, parses every
 affiliation line: a strict run exits 2 and names it, a lenient run
-reports it.
+reports it.  The clean and dirty corpora also come as ``-compact``
+copies, each object rewritten in the layout ``dump_*`` writes (no
+whitespace, null keys left out); every run on them must give the bytes of
+the same run on the spaced corpus.  The ``canonical`` corpus is written in
+that layout throughout: 100 statements lines with a bad line at line 40
+and a year of 1399 at line 70, CRLF lines, and no LF after the last line.
 
 Each lenient ``--out`` store that ``aggregate`` writes (one per kind ×
 grouping that exits 0) is then read by the store readers: ``rank`` in
@@ -46,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -109,6 +115,63 @@ TIES_ROWS = [
     DIAGNOSTICS_ROW,
 ]
 
+
+def _compact(rows: list[str]) -> list[str]:
+    """Each JSON object row in the layout ``dump_*`` writes; other rows as they are."""
+    compact = []
+    for row in rows:
+        try:
+            obj = json.loads(row)
+        except json.JSONDecodeError:
+            compact.append(row)
+            continue
+        present = {key: value for key, value in obj.items() if value is not None}
+        compact.append(json.dumps(present, separators=(",", ":"), ensure_ascii=False))
+    return compact
+
+
+def _canonical_corpus() -> dict[str, str]:
+    """Four files in the layout ``dump_*`` writes, as whole texts; statement
+    years stay far from ``ingest._MAX_YEAR``."""
+    stances = ("supporting", "mentioning", "contrasting")
+    pubs = [
+        f'{{"id":"W{n}","journal_id":"J{n % 3}","field":"{("Physics", "Maths")[n % 2]}",'
+        f'"year":{1990 + n}}}'
+        for n in range(9)
+    ]
+    pubs += ['{"id":"W9","journal_id":"Jé"}', '{"id":"W10","field":"Maths"}', '{"id":"W11"}']
+    affiliations = [
+        f'{{"pub_id":"W{n}","institution_ids":["I{n % 4}","I{(n + 1) % 4}"]}}' for n in range(9)
+    ]
+    affiliations += ['{"pub_id":"W9","institution_ids":[]}',
+                     '{"pub_id":"W10","institution_ids":["I1","I1"]}']
+    statements = [
+        f'{{"citing_id":"C{n % 17}","cited_id":"W{n % 13}","citing_year":{2023 + (n % 5 > 0)},'
+        f'"class":"{stances[n % 3]}"}}'
+        for n in range(100)
+    ]
+    # W12 is cited but never described
+    statements[39] = '{"citing_id":"C1","cited_id":"W1","citing_year":2024,"class":"refuting"}'
+    statements[69] = '{"citing_id":"C2","cited_id":"W2","citing_year":1399,"class":"supporting"}'
+    references = [
+        f'{{"citing_id":"C{n % 17}","cited_id":"W{n % 13}","citing_year":{2023 + (n % 4 > 0)}}}'
+        for n in range(60)
+    ]
+
+    def text(rows: list[str], last_lf: bool = True) -> str:
+        ends = ["\r\n" if n % 7 == 3 else "\n" for n in range(len(rows))]
+        if not last_lf:
+            ends[-1] = ""
+        return "".join(row + end for row, end in zip(rows, ends))
+
+    return {
+        "statements": text(statements, last_lf=False),
+        "references": text(references),
+        "pubs": text(pubs),
+        "affiliations": text(affiliations, last_lf=False),
+    }
+
+
 CORPORA = {
     "clean": {
         "statements": STATEMENTS,
@@ -130,6 +193,14 @@ CORPORA = {
         "affiliations": [AFFILS[0], '{"pub_id": "W2", "institution_ids": "I1"}', *AFFILS[1:]],
     },
 }
+COMPACT_OF = {f"{name}-compact": name for name in ("clean", "dirty")}
+CORPORA.update(
+    {
+        compact: {name: _compact(rows) for name, rows in CORPORA[spaced].items()}
+        for compact, spaced in COMPACT_OF.items()
+    }
+)
+CORPORA["canonical"] = _canonical_corpus()
 
 
 def _sha(data: bytes | None) -> str:
@@ -169,8 +240,10 @@ def _reader_runs(stores: dict[str, bool], inputs: list[str]) -> list[list[str]]:
     return runs
 
 
-def _write_lines(name: str, rows: list[str]) -> None:
-    Path(name).write_text("".join(row + "\n" for row in rows), "utf-8")
+def _write_lines(name: str, rows: list[str] | str) -> None:
+    """A file of ``rows``, each ended by LF, or of the text ``rows`` as it is."""
+    text = rows if isinstance(rows, str) else "".join(row + "\n" for row in rows)
+    Path(name).write_bytes(text.encode("utf-8"))
 
 
 def _defective_runs() -> list[list[str]]:

@@ -481,3 +481,136 @@ class TestParsersMatchOracle:
     def test_named_cases(self, line):
         assert outcome(parse_statement, line) == outcome(oracle_statement, line)
         assert outcome(parse_reference, line) == outcome(oracle_reference, line)
+
+
+# -- reading the dump layout against the line-by-line loop ------------------
+#
+# ``stream`` may read lines in the layout ``dump_*`` writes without the JSON
+# decoder.  The oracle is ``stream``'s per-line loop, copied literally: each
+# line decoded from UTF-8 alone and handed to the parser.  Both must give
+# the same records (with the same value types), the same strict error and
+# the same lenient skip report on files that mix that layout with others.
+
+
+def oracle_stream(path, parser, mode="strict", report=None):
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"invalid UTF-8: {exc.reason}") from exc
+                yield parser(line)
+            except ParseError as exc:
+                if mode == "strict":
+                    raise ParseError(f"{path}:{line_no}: {exc}") from exc
+                if report is not None:
+                    report.record_skip(line_no)
+
+
+def read_outcome(reader, path, parser, mode):
+    """(records with their value types, strict error or None, skip report)."""
+    records, report = [], SkipReport()
+    try:
+        for rec in reader(path, parser, mode, report):
+            records.append((type(rec).__name__, tuple(type(v).__name__ for v in rec), rec))
+    except ParseError as exc:
+        return records, str(exc), asdict(report)
+    return records, None, asdict(report)
+
+
+# ids the dump layout holds as they are, including JSON's structural
+# characters and text json.dumps escapes only under ensure_ascii
+LAYOUT_IDS = ["W1", "a[b", "{x}", "a,b", "k:v", "é", "\U0001f600", " ", "sp ace", "\x7f"]
+layout_id_texts = st.one_of(
+    st.tuples(st.sampled_from(LAYOUT_IDS) | st.text(min_size=1, max_size=6), st.booleans()).map(
+        lambda drawn: json.dumps(drawn[0], ensure_ascii=drawn[1])
+    ),
+    st.sampled_from(['"a\\"b"', '"a\\\\b"', '"\\ud800"', '"\\u00e9"', '""', "7", "null"]),
+)
+layout_year_texts = st.sampled_from(
+    [str(year) for year in (MIN_YEAR - 1, MIN_YEAR, _MAX_YEAR, _MAX_YEAR + 1)]
+    + ["0999", "10000", "true", "2024.0", "null"]
+) | years.map(str)
+layout_class_texts = st.sampled_from([*STANCE_CLASSES, "refuting"]).map(json.dumps)
+layout_id_arrays = st.lists(layout_id_texts, max_size=3).map(
+    lambda items: "[" + ",".join(items) + "]"
+) | st.sampled_from(["[]", '["a","a"]', '[""]', '"I1"'])
+
+# each parser's keys in schema order: (key, JSON texts of its value, required)
+LAYOUT_SCHEMAS = {
+    "statement": (
+        parse_statement,
+        [("citing_id", layout_id_texts, True), ("cited_id", layout_id_texts, True),
+         ("citing_year", layout_year_texts, True), ("class", layout_class_texts, True)],
+    ),
+    "reference": (
+        parse_reference,
+        [("citing_id", layout_id_texts, True), ("cited_id", layout_id_texts, True),
+         ("citing_year", layout_year_texts, True)],
+    ),
+    "publication": (
+        parse_publication,
+        [("id", layout_id_texts, True), ("journal_id", layout_id_texts, False),
+         ("field", layout_id_texts, False), ("year", layout_year_texts, False)],
+    ),
+    "affiliation": (
+        parse_affiliation,
+        [("pub_id", layout_id_texts, True), ("institution_ids", layout_id_arrays, True)],
+    ),
+}
+
+
+@st.composite
+def layout_objects(draw, schema):
+    """One object: in schema order with no whitespace (the dump layout), with
+    json.dumps spacing, or with its keys shuffled; keys now and then absent."""
+    members = [
+        (key, draw(values)) for key, values, required in schema
+        if draw(st.integers(0, 9)) < (9 if required else 5)
+    ]
+    layout = draw(st.sampled_from(["dump", "dump", "dump", "spaced", "shuffled"]))
+    if layout == "shuffled":
+        members = draw(st.permutations(members))
+    if layout == "spaced":
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in members) + "}"
+    return "{" + ",".join(f'"{key}":{value}' for key, value in members) + "}"
+
+
+LINE_SHAPES = {
+    "plain": lambda body: body + b"\n",
+    "crlf": lambda body: body + b"\r\n",
+    "trailing-space": lambda body: body + b" \n",
+    "bom": lambda body: b"\xef\xbb\xbf" + body + b"\n",
+    "two-objects": lambda body: body + body + b"\n",
+    "empty": lambda body: b"\n",
+    "xff": lambda body: body[:1] + b"\xff" + body[1:] + b"\n",
+    "xc3": lambda body: body + b"\xc3\n",
+}
+
+
+@st.composite
+def layout_files(draw, schema):
+    """A file's bytes: mostly plain lines, some in other shapes, and the
+    last line now and then without its LF."""
+    shapes = st.sampled_from(["plain"] * 10 + sorted(LINE_SHAPES))
+    lines = [
+        LINE_SHAPES[draw(shapes)](draw(layout_objects(schema)).encode("utf-8", "surrogatepass"))
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip(b"\n")
+    return b"".join(lines)
+
+
+class TestCanonicalReadMatchesLineRead:
+    @pytest.mark.parametrize("schema", sorted(LAYOUT_SCHEMAS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_records_errors_and_skips(self, tmp_path_factory, schema, data):
+        parser, keys = LAYOUT_SCHEMAS[schema]
+        path = tmp_path_factory.getbasetemp() / f"layout-{schema}.jsonl"
+        path.write_bytes(data.draw(layout_files(keys)))
+        for mode in ("strict", "lenient"):
+            expected = read_outcome(oracle_stream, str(path), parser, mode)
+            assert read_outcome(stream, str(path), parser, mode) == expected

@@ -44,8 +44,10 @@ PLAIN_RUNS = [
 FIELDS_RUNS = [("fields", {"--format": fmt}) for fmt in FORMATS]
 
 
-def written(pubs, affiliations, statements, references):
-    """Each input file's lines, one ``json.dumps`` object per record."""
+def written(pubs, affiliations, statements, references, compact=False):
+    """Each input file's lines, one object per record: with ``json.dumps``
+    spacing, or ``compact`` in the layout ``dump_*`` writes (no whitespace,
+    null keys left out)."""
     objects = {
         "pubs": [pub._asdict() for pub in pubs],
         "affiliations": [
@@ -61,13 +63,22 @@ def written(pubs, affiliations, statements, references):
             for citing, cited, year in references
         ],
     }
+    if compact:
+        return {
+            name: [
+                json.dumps({key: value for key, value in obj.items() if value is not None},
+                           separators=(",", ":"), ensure_ascii=False).encode()
+                for obj in rows
+            ]
+            for name, rows in objects.items()
+        }
     return {name: [json.dumps(obj).encode() for obj in rows] for name, rows in objects.items()}
 
 
 @st.composite
 def corpora(draw):
     """Records drawn by the aggregate tests' strategies, ids now and then
-    renamed, and written; up to two statements and references lines are
+    renamed, and written in either layout; up to two statements and references lines are
     the CLI tests' garbage.  Also a citing-year window and a score for
     some ids."""
     names = RENAMES if draw(st.booleans()) else {}
@@ -80,7 +91,9 @@ def corpora(draw):
         AffiliationRecord(aff.pub_id, frozenset(names.get(i, i) for i in aff.institution_ids))
         for aff in draw(random_affils)
     ]
-    files = written(pubs, affiliations, draw(random_statements), draw(random_events))
+    files = written(
+        pubs, affiliations, draw(random_statements), draw(random_events), draw(st.booleans())
+    )
     for name in ("statements", "references"):
         for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
             lines = files[name]
@@ -97,16 +110,26 @@ PUBS = [PublicationRecord("W1", "J\r1", "F1"), PublicationRecord("W2", "J2", "F1
         PublicationRecord("W3", "J3", "F2")]
 AFFILIATIONS = [AffiliationRecord("W1", frozenset({"I1", "I2"})),
                 AffiliationRecord("W2", frozenset({"I1"})), AffiliationRecord("W3", frozenset({"I3"}))]
-PINNED = (PUBS, AFFILIATIONS, written(
-    PUBS,
-    AFFILIATIONS,
-    [StatementRecord("C1", "W1", 2023, "supporting"), StatementRecord("C2", "W1", 2024, "contrasting"),
-     StatementRecord("C2", "W1", 2024, "mentioning"), StatementRecord("C1", "W2", 2024, "supporting"),
-     StatementRecord("C3", "W3", 2024, "supporting"), StatementRecord("C1", "W1", 2025, "supporting")],
-    [ReferenceEvent("C1", "W2", 2022), ReferenceEvent("C1", "W2", 2024),
-     ReferenceEvent("C1", "W1", 2024), ReferenceEvent("C2", "W1", 2023),
-     ReferenceEvent("C1", "W3", 2024)],
-), (2023, 2024), {"J\r1": 1, "J2": 2, "J3": 0.5, "I1": 3, "I2": -1, "F1": 2, "F2": 1})
+
+
+def pinned(compact):
+    """The always-drawn corpus, in either layout."""
+    files = written(
+        PUBS,
+        AFFILIATIONS,
+        [StatementRecord("C1", "W1", 2023, "supporting"),
+         StatementRecord("C2", "W1", 2024, "contrasting"),
+         StatementRecord("C2", "W1", 2024, "mentioning"),
+         StatementRecord("C1", "W2", 2024, "supporting"),
+         StatementRecord("C3", "W3", 2024, "supporting"),
+         StatementRecord("C1", "W1", 2025, "supporting")],
+        [ReferenceEvent("C1", "W2", 2022), ReferenceEvent("C1", "W2", 2024),
+         ReferenceEvent("C1", "W1", 2024), ReferenceEvent("C2", "W1", 2023),
+         ReferenceEvent("C1", "W3", 2024)],
+        compact,
+    )
+    scores = {"J\r1": 1, "J2": 2, "J3": 0.5, "I1": 3, "I2": -1, "F1": 2, "F2": 1}
+    return PUBS, AFFILIATIONS, files, (2023, 2024), scores
 
 
 def parsed(lines, oracle):
@@ -185,7 +208,8 @@ def model_reader(command, options, store, scores):
 class TestCliMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(corpora())
-    @example(corpus=PINNED)
+    @example(corpus=pinned(compact=False))
+    @example(corpus=pinned(compact=True))
     def test_every_command(self, tmp_path_factory, corpus):
         pubs, affiliations, files, window, scores = corpus
         base = tmp_path_factory.mktemp("reference")
