@@ -14,10 +14,10 @@ One JSON object per line.  The four input streams are:
 ``parse_score``, and ``aggregate.load_store`` reads a store from the lines
 ``stream`` yields.
 
-Reading is streaming: ``stream`` consumes a file line by line and never
-holds more than one record, so memory use is independent of file size.
-Unknown keys are ignored for forward compatibility; missing or mistyped
-required keys are parse errors.
+Reading is streaming: ``stream`` consumes a file in blocks of about
+2 KiB of whole lines and never holds more than one block and its records,
+so memory use is independent of file size.  Unknown keys are ignored for
+forward compatibility; missing or mistyped required keys are parse errors.
 """
 
 from __future__ import annotations
@@ -325,6 +325,84 @@ def dump_affiliation(rec: AffiliationRecord) -> str:
     return "{" + _json_members((pub_id_key,), (rec.pub_id,)) + "," + ids_key + "[" + ids + "]}"
 
 
+# -- the canonical layout, read without the JSON decoder ---------------------
+#
+# Most input lines are in the layout the dump_* writers use: keys in schema
+# order, no whitespace, and no escape in any string.  In that layout a
+# string's JSON text is its value, so one regex match reads a line exactly
+# as its parser would: a nonempty string without a quote, backslash or
+# control character decodes to itself, and valid UTF-8 holds no lone
+# surrogate.  A year is four digits looked up in _YEARS; a miss means the
+# year is out of range or the line has another layout.  Every pattern's
+# second branch matches any other line with all groups empty, so findall
+# gives one match per line (plus an empty one after a final LF), and each
+# reader turns the lines its parser must see into None.
+
+_CHARS = r'[^"\\\x00-\x1f]+'
+_STRING = f'"({_CHARS})"'
+_YEAR = "([0-9]{4})"
+_YEARS = {str(year): year for year in range(MIN_YEAR, _MAX_YEAR + 1)}
+_new = tuple.__new__  # what NamedTuple._make calls, without the length check
+
+
+def _line_pattern(members: str) -> re.Pattern[str]:
+    return re.compile(rf"^(?:\{{{members}\}}\r?|.*)$", re.M)
+
+
+_STATEMENT_LINE = _line_pattern(
+    f'"citing_id":{_STRING},"cited_id":{_STRING},"citing_year":{_YEAR},'
+    f'"class":"({"|".join(STANCE_CLASSES)})"'
+)
+_REFERENCE_LINE = _line_pattern(f'"citing_id":{_STRING},"cited_id":{_STRING},"citing_year":{_YEAR}')
+_PUBLICATION_LINE = _line_pattern(
+    f'"id":{_STRING}(?:,"journal_id":{_STRING})?(?:,"field":{_STRING})?(?:,"year":{_YEAR})?'
+)
+_AFFILIATION_LINE = _line_pattern(
+    rf'"pub_id":{_STRING},"institution_ids":\[((?:"{_CHARS}"(?:,"{_CHARS}")*)?)\]'
+)
+
+
+def _canonical_statements(text: str, count: int) -> list[StatementRecord | None]:
+    return [
+        None if (year := _YEARS.get(y)) is None else _new(StatementRecord, (citing, cited, year, stance))
+        for citing, cited, y, stance in _STATEMENT_LINE.findall(text)[:count]
+    ]
+
+
+def _canonical_references(text: str, count: int) -> list[ReferenceEvent | None]:
+    return [
+        None if (year := _YEARS.get(y)) is None else _new(ReferenceEvent, (citing, cited, year))
+        for citing, cited, y in _REFERENCE_LINE.findall(text)[:count]
+    ]
+
+
+def _canonical_publications(text: str, count: int) -> list[PublicationRecord | None]:
+    # an empty group is an absent key
+    return [
+        _new(PublicationRecord, (pub_id, journal_id or None, field or None, _YEARS.get(year)))
+        if pub_id and (not year or year in _YEARS) else None
+        for pub_id, journal_id, field, year in _PUBLICATION_LINE.findall(text)[:count]
+    ]
+
+
+def _canonical_affiliations(text: str, count: int) -> list[AffiliationRecord | None]:
+    # no id in this layout holds a quote, so '","' separates them exactly
+    return [
+        _new(AffiliationRecord, (pub_id, frozenset(ids[1:-1].split('","') if ids else ())))
+        if pub_id else None
+        for pub_id, ids in _AFFILIATION_LINE.findall(text)[:count]
+    ]
+
+
+_CANONICAL_READERS: dict[Callable, Callable[[str, int], list]] = {
+    parse_statement: _canonical_statements,
+    parse_reference: _canonical_references,
+    parse_publication: _canonical_publications,
+    parse_affiliation: _canonical_affiliations,
+}
+_BLOCK_BYTES = 2048
+
+
 @dataclass(slots=True)
 class SkipReport:
     """Tally of lines skipped in lenient mode."""
@@ -352,23 +430,51 @@ def stream(
     and tallies defects into ``report`` if one is given.  A line ends at LF,
     so a CRLF line keeps its CR for the parser and a bare CR ends no line.
     A line that is not valid UTF-8 is a bad line like any other: the file
-    is read as bytes and decoded one line at a time, so one bad byte costs
-    one line, not the run.
+    is read as bytes and a line that is not valid UTF-8 is decoded alone,
+    so one bad byte costs one line, not the run.
+
+    The file is read in blocks of about 2 KiB of whole lines.  For the four
+    input parsers, each block is matched against the canonical layout
+    above in one regex scan, and only the lines outside it go to the
+    parser; a block with no canonical line stops the scans for the rest of
+    the file.  The records, messages and skips are the parser's own.
 
     An unreadable path raises OSError from open(), untouched.
     """
     if mode not in ("strict", "lenient"):
         raise ConfigError(f"mode must be 'strict' or 'lenient', got {mode!r}")
+    read_canonical = _CANONICAL_READERS.get(parser)
+    line_no = 0
     with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            try:
+        while block := handle.readlines(_BLOCK_BYTES):
+            records = None
+            if read_canonical is not None:
                 try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(f"invalid UTF-8: {exc.reason}") from exc
-                yield parser(line)
-            except ParseError as exc:
-                if mode == "strict":
-                    raise ParseError(f"{path}:{line_no}: {exc}") from exc
-                if report is not None:
-                    report.record_skip(line_no)
+                    text = b"".join(block).decode("utf-8")
+                except UnicodeDecodeError:
+                    pass
+                else:
+                    records = read_canonical(text, len(block))
+                    misses = records.count(None)
+                    if not misses:
+                        line_no += len(block)
+                        yield from records
+                        continue
+                    if misses == len(block):
+                        read_canonical = None
+            for offset, raw in enumerate(block):
+                line_no += 1
+                if records is not None and records[offset] is not None:
+                    yield records[offset]
+                    continue
+                try:
+                    try:
+                        line = raw.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseError(f"invalid UTF-8: {exc.reason}") from exc
+                    yield parser(line)
+                except ParseError as exc:
+                    if mode == "strict":
+                        raise ParseError(f"{path}:{line_no}: {exc}") from exc
+                    if report is not None:
+                        report.record_skip(line_no)

@@ -1,11 +1,13 @@
 import json
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citerank import ingest
 from citerank.errors import ConfigError, ParseError
 from citerank.ingest import (
     MIN_YEAR,
@@ -289,11 +291,16 @@ class TestStream:
         assert len(seen) == bad_at
         assert str(err.value).startswith(f"{path}:{bad_at + 1}: ")
 
-    def test_memory_constant_in_file_size(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [GOOD, dump_statement(StatementRecord("C1", "W1", 2024, "supporting"))],
+        ids=["spaced", "canonical"],
+    )
+    def test_memory_constant_in_file_size(self, tmp_path, line):
         small = tmp_path / "small.jsonl"
         large = tmp_path / "large.jsonl"
-        _write_lines(small, [GOOD] * 20_000)
-        _write_lines(large, [GOOD] * 200_000)
+        _write_lines(small, [line] * 20_000)
+        _write_lines(large, [line] * 200_000)
 
         def peak(path):
             tracemalloc.start()
@@ -613,4 +620,59 @@ class TestCanonicalReadMatchesLineRead:
         path.write_bytes(data.draw(layout_files(keys)))
         for mode in ("strict", "lenient"):
             expected = read_outcome(oracle_stream, str(path), parser, mode)
-            assert read_outcome(stream, str(path), parser, mode) == expected
+            for block_bytes in (1, 64, 2048):
+                with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                    assert read_outcome(stream, str(path), parser, mode) == expected
+
+
+# one record of each type, and its parser
+CANONICAL_CASES = {
+    "statement": (parse_statement, dump_statement, StatementRecord("C1", "W1", 2024, "mentioning")),
+    "reference": (parse_reference, dump_reference, ReferenceEvent("C1", "W1", 2024)),
+    "publication": (parse_publication, dump_publication, PublicationRecord("W1", "J1", None, 1999)),
+    "affiliation": (
+        parse_affiliation, dump_affiliation, AffiliationRecord("W1", frozenset({"I1", "I2"}))
+    ),
+}
+
+
+class TestCanonicalReadGuards:
+    """The canonical layout is read without the JSON decoder, and a file in
+    another layout costs one block scan."""
+
+    @pytest.mark.parametrize("others", [0, 1, 7])
+    @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+    def test_decoder_sees_only_other_lines(self, tmp_path, monkeypatch, case, others):
+        parser, dump, record = CANONICAL_CASES[case]
+        lines = [dump(record)] * 1_000
+        spaced = json.dumps(json.loads(lines[0]))
+        for n in range(others):
+            lines[n * 131] = spaced
+        path = tmp_path / "canonical.jsonl"
+        _write_lines(path, lines)
+        calls = []
+
+        def decode_line(line):
+            calls.append(line)
+            return decode(line)
+
+        decode = ingest._decode_line
+        monkeypatch.setattr(ingest, "_decode_line", decode_line)
+        assert list(stream(str(path), parser)) == [record] * 1_000
+        assert len(calls) == others
+
+    @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+    def test_other_layout_is_scanned_once(self, tmp_path, monkeypatch, case):
+        parser, dump, record = CANONICAL_CASES[case]
+        path = tmp_path / "spaced.jsonl"
+        _write_lines(path, [json.dumps(json.loads(dump(record)))] * 1_000)
+        scans = []
+
+        def read_canonical(text, count):
+            scans.append(count)
+            return scan(text, count)
+
+        scan = ingest._CANONICAL_READERS[parser]
+        monkeypatch.setitem(ingest._CANONICAL_READERS, parser, read_canonical)
+        assert list(stream(str(path), parser)) == [record] * 1_000
+        assert len(scans) == 1
