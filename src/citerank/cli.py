@@ -341,10 +341,10 @@ def cmd_rank(opts: argparse.Namespace) -> int:
 
 def cmd_fields(opts: argparse.Namespace) -> int:
     store = _load_store_file(opts.store)
-    rows = field_breakdown(store, _si_config(opts))
+    rows, report = field_breakdown(store, _si_config(opts))
     with _output(opts.out) as out:
         write_breakdown(rows, opts.format, out)
-    _diag({"event": "breakdown", "rows": len(rows)})
+    _diag({"event": "breakdown", "rows": len(rows), "undefined_metric": report.undefined_metric})
     return EXIT_OK
 
 

@@ -180,22 +180,24 @@ def rank_entities(
 
 def field_breakdown(
     store: Store, si_config: SiConfig = DEFAULT_SI_CONFIG
-) -> list[RankedRow]:
-    """The si ranking of a per-field institution store, grouped by field label.
+) -> tuple[list[RankedRow], ExclusionReport]:
+    """The si ranking of a per-field institution store, grouped by field
+    label, and the ranking's exclusions.
 
     Any other store, plain or of another kind, is refused; an empty store
     gives no rows.  Cells without a defined score (no valenced statements, or
-    zero usi or references) are dropped: the breakdown is plot-ready data,
-    and those cells would have no position on a score axis.  Sorted by field
+    zero usi or references) are dropped and counted as ``undefined_metric``,
+    the report's only nonzero count: the breakdown is plot-ready data, and
+    those cells would have no position on a score axis.  Sorted by field
     label, then score descending, then entity id.  A row's ``rank`` is its
     place in the whole store's si order; no table prints it.
     """
     if any(key.kind != "institution" or key.field is None for key in store.tallies):
         raise ConfigError("fields needs a per-field institution store")
-    rows, _ = rank_entities(store, RankSpec(si_config=si_config))
+    rows, report = rank_entities(store, RankSpec(si_config=si_config))
     # stable, so each field keeps the ranking's (si descending, id) order
     rows.sort(key=lambda row: row.entity.field)
-    return rows
+    return rows, report
 
 
 @dataclass(slots=True)

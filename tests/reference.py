@@ -217,8 +217,9 @@ def rank(store, metric="si", kind=None, min_valenced=0, min_references=0, top=No
 
 
 def breakdown(store, exponent=2.0, log_base=10.0):
-    """The ``fields`` rows: each (institution, field) with a defined si, by
-    field, then si descending, then institution."""
+    """(cells, undefined) of ``citerank fields``: each (institution, field)
+    with a defined si, by field, then si descending, then institution; and
+    the number of cells whose si is undefined."""
     if any(kind != "institution" or field is None for kind, _, field in store):
         raise Refused(1, "fields needs a per-field institution store")
     cells = []
@@ -226,7 +227,8 @@ def breakdown(store, exponent=2.0, log_base=10.0):
         usi, si = scores(counts, exponent, log_base)
         if si is not None:
             cells.append(Cell(institution, field, *counts, usi, si))
-    return sorted(cells, key=lambda cell: (cell.field, -cell.si, cell.institution))
+    cells.sort(key=lambda cell: (cell.field, -cell.si, cell.institution))
+    return cells, len(store) - len(cells)
 
 
 def correlate(store, external, metric="usi", exponent=2.0, log_base=10.0):

@@ -229,7 +229,7 @@ class TestFieldBreakdown:
         )
 
     def test_rows_grouped_and_sorted(self):
-        rows = field_breakdown(self.make_store())
+        rows, _ = field_breakdown(self.make_store())
         assert [(row.entity.field, row.entity.id) for row in rows] == [
             ("Maths", "I1"),
             ("Physics", "I2"),
@@ -237,9 +237,10 @@ class TestFieldBreakdown:
         ]
 
     def test_undefined_rows_dropped(self):
-        rows = field_breakdown(self.make_store())
+        rows, report = field_breakdown(self.make_store())
         assert all(row.si_exact is not None for row in rows)
         assert len(rows) == 3  # I3/Maths has no valenced statements
+        assert report == ExclusionReport(undefined_metric=1)
 
     def test_requires_by_field_store(self):
         with pytest.raises(ConfigError) as err:
@@ -268,8 +269,8 @@ class TestFieldBreakdown:
 
     def test_empty_store_gives_header_only(self):
         # an empty per-field store cannot be told from any other empty store
-        rows = field_breakdown(store_of({}))
-        assert rows == []
+        rows, report = field_breakdown(store_of({}))
+        assert (rows, report) == ([], ExclusionReport())
         assert export_breakdown(rows, "csv") == reference.breakdown_table([], "csv")
 
 
@@ -424,11 +425,12 @@ class TestBreakdownMatchesReference:
     def test_same_cells_and_errors(self, case):
         store, si_config = case
         tallies, _ = as_model(store)
-        rows = breakdown_outcome(lambda: field_breakdown(store, si_config))
-        if isinstance(rows, list):
+        outcome = breakdown_outcome(lambda: field_breakdown(store, si_config))
+        if outcome[0] != "error":
+            rows, report = outcome
             assert sorted(row.rank for row in rows) == list(range(1, len(rows) + 1))
-            rows = model_cells(rows)
-        assert rows == breakdown_outcome(
+            outcome = model_cells(rows), report.undefined_metric
+        assert outcome == breakdown_outcome(
             lambda: reference.breakdown(tallies, *astuple(si_config))
         )
 
@@ -501,7 +503,7 @@ class TestReadersAgreeOnReadBack:
         tables = build_link_tables([], [], kind, by_field)
         store = build_store([], [], tables, Window(2024, 2024), kind, by_field)
         assert reader_outcomes(load_store(io.StringIO(dump_store(store)))) == reader_outcomes(store)
-        assert field_breakdown(store) == []
+        assert field_breakdown(store) == ([], ExclusionReport())
         assert rank_entities(store, RankSpec(kind="institution")) == ([], ExclusionReport())
 
 
@@ -558,7 +560,7 @@ class TestExports:
     def test_breakdown_markdown_line_breaks_stay_in_their_row(self):
         key = EntityKey("institution", "I\r1", "Phys\nics")
         store = store_of({key: EntityTally(5, 0, 1, 50)})
-        text = export_breakdown(field_breakdown(store), "md")
+        text = export_breakdown(field_breakdown(store)[0], "md")
         assert text.split("\n")[2:] == ["| I<br>1 | Phys<br>ics | 5 | 0 | 1 | 50 | 0.83 | 1.54 |", ""]
 
     def test_markdown_deterministic(self):
@@ -575,7 +577,7 @@ class TestExports:
 
     def test_breakdown_csv_header_exact(self):
         store = store_of({EntityKey("institution", "I1", "Physics"): EntityTally(5, 0, 1, 50)})
-        text = export_breakdown(field_breakdown(store), "csv")
+        text = export_breakdown(field_breakdown(store)[0], "csv")
         assert text.splitlines()[0] == ",".join(reference.BREAKDOWN_COLUMNS)
         entry = next(csv.DictReader(io.StringIO(text)))
         assert entry["institution"] == "I1"
@@ -701,7 +703,7 @@ class TestCsvReadsBack:
     @pytest.mark.parametrize("text", EXPORT_SAMPLES)
     def test_breakdown(self, text):
         store = store_of({EntityKey("institution", text, text): EntityTally(5, 0, 1, 50)})
-        rows = field_breakdown(store)
+        rows, _ = field_breakdown(store)
         assert read_csv(export_breakdown(rows, "csv")) == [
             list(reference.BREAKDOWN_COLUMNS),
             [text, text, "5", "0", "1", "50", repr(rows[0].usi_exact), repr(rows[0].si_exact)],

@@ -196,9 +196,9 @@ def model_reader(command, options, store, scores):
             events = log({"event": "exclusions", **exclusions}, consistency(store))
             return 0, reference.rank_table(rows, options["--format"]), events
         if command == "fields":
-            rows = reference.breakdown(store)
+            rows, undefined = reference.breakdown(store)
             return 0, reference.breakdown_table(rows, options["--format"]), log(
-                {"event": "breakdown", "rows": len(rows)}
+                {"event": "breakdown", "rows": len(rows), "undefined_metric": undefined}
             )
         return 0, json.dumps(reference.correlate(store, scores, options["--by"])) + "\n", ""
     except reference.Refused as refusal:
