@@ -22,6 +22,7 @@ forward compatibility; missing or mistyped required keys are parse errors.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -332,21 +333,28 @@ def dump_affiliation(rec: AffiliationRecord) -> str:
 # string's JSON text is its value, so one regex match reads a line exactly
 # as its parser would: a nonempty string without a quote, backslash or
 # control character decodes to itself, and valid UTF-8 holds no lone
-# surrogate.  A year is four digits looked up in _YEARS; a miss means the
+# surrogate.  A year is four digits looked up in _years(); a miss means the
 # year is out of range or the line has another layout.  Every pattern's
 # second branch matches any other line with all groups empty, so findall
 # gives one match per line (plus an empty one after a final LF), and each
-# reader turns the lines its parser must see into None.
+# reader turns the lines its parser must see into None.  The patterns and
+# the year table are built on first use, so a run that reads only stores
+# and scores pays for neither.
 
 _CHARS = r'[^"\\\x00-\x1f]+'
 _STRING = f'"({_CHARS})"'
 _YEAR = "([0-9]{4})"
-_YEARS = {str(year): year for year in range(MIN_YEAR, _MAX_YEAR + 1)}
 _new = tuple.__new__  # what NamedTuple._make calls, without the length check
 
 
-def _line_pattern(members: str) -> re.Pattern[str]:
-    return re.compile(rf"^(?:\{{{members}\}}\r?|.*)$", re.M)
+@functools.cache
+def _years() -> dict[str, int]:
+    return {str(year): year for year in range(MIN_YEAR, _MAX_YEAR + 1)}
+
+
+def _line_pattern(members: str) -> str:
+    # re compiles it on the first findall and keeps it in its cache
+    return rf"(?m)^(?:\{{{members}\}}\r?|.*)$"
 
 
 _STATEMENT_LINE = _line_pattern(
@@ -363,25 +371,29 @@ _AFFILIATION_LINE = _line_pattern(
 
 
 def _canonical_statements(text: str, count: int) -> list[StatementRecord | None]:
+    years = _years()
     return [
-        None if (year := _YEARS.get(y)) is None else _new(StatementRecord, (citing, cited, year, stance))
-        for citing, cited, y, stance in _STATEMENT_LINE.findall(text)[:count]
+        None if (year := years.get(y)) is None
+        else _new(StatementRecord, (citing, cited, year, stance))
+        for citing, cited, y, stance in re.findall(_STATEMENT_LINE, text)[:count]
     ]
 
 
 def _canonical_references(text: str, count: int) -> list[ReferenceEvent | None]:
+    years = _years()
     return [
-        None if (year := _YEARS.get(y)) is None else _new(ReferenceEvent, (citing, cited, year))
-        for citing, cited, y in _REFERENCE_LINE.findall(text)[:count]
+        None if (year := years.get(y)) is None else _new(ReferenceEvent, (citing, cited, year))
+        for citing, cited, y in re.findall(_REFERENCE_LINE, text)[:count]
     ]
 
 
 def _canonical_publications(text: str, count: int) -> list[PublicationRecord | None]:
     # an empty group is an absent key
+    years = _years()
     return [
-        _new(PublicationRecord, (pub_id, journal_id or None, field or None, _YEARS.get(year)))
-        if pub_id and (not year or year in _YEARS) else None
-        for pub_id, journal_id, field, year in _PUBLICATION_LINE.findall(text)[:count]
+        _new(PublicationRecord, (pub_id, journal_id or None, field or None, years.get(year)))
+        if pub_id and (not year or year in years) else None
+        for pub_id, journal_id, field, year in re.findall(_PUBLICATION_LINE, text)[:count]
     ]
 
 
@@ -390,7 +402,7 @@ def _canonical_affiliations(text: str, count: int) -> list[AffiliationRecord | N
     return [
         _new(AffiliationRecord, (pub_id, frozenset(ids[1:-1].split('","') if ids else ())))
         if pub_id else None
-        for pub_id, ids in _AFFILIATION_LINE.findall(text)[:count]
+        for pub_id, ids in re.findall(_AFFILIATION_LINE, text)[:count]
     ]
 
 
@@ -430,14 +442,15 @@ def stream(
     and tallies defects into ``report`` if one is given.  A line ends at LF,
     so a CRLF line keeps its CR for the parser and a bare CR ends no line.
     A line that is not valid UTF-8 is a bad line like any other: the file
-    is read as bytes and a line that is not valid UTF-8 is decoded alone,
-    so one bad byte costs one line, not the run.
+    is read as bytes, and a block that is not valid UTF-8 is decoded line
+    by line, so one bad byte costs one line, not the run.
 
-    The file is read in blocks of about 2 KiB of whole lines.  For the four
-    input parsers, each block is matched against the canonical layout
-    above in one regex scan, and only the lines outside it go to the
-    parser; a block with no canonical line stops the scans for the rest of
-    the file.  The records, messages and skips are the parser's own.
+    For the four input parsers the file is read in blocks of about 2 KiB of
+    whole lines, each matched against the canonical layout above in one
+    regex scan, and only the lines outside it go to the parser.  A block
+    with no canonical line stops the scans, and the rest of the file is read
+    line by line, as every file is for the other parsers.  The records,
+    messages and skips are the parser's own.
 
     An unreadable path raises OSError from open(), untouched.
     """
@@ -446,35 +459,47 @@ def stream(
     read_canonical = _CANONICAL_READERS.get(parser)
     line_no = 0
     with open(path, "rb") as handle:
-        while block := handle.readlines(_BLOCK_BYTES):
-            records = None
-            if read_canonical is not None:
-                try:
-                    text = b"".join(block).decode("utf-8")
-                except UnicodeDecodeError:
-                    pass
+        while read_canonical is not None and (block := handle.readlines(_BLOCK_BYTES)):
+            try:
+                text = b"".join(block).decode("utf-8")
+            except UnicodeDecodeError:
+                yield from _read_lines(block, line_no, path, parser, mode, report)
+            else:
+                records = read_canonical(text, len(block))
+                if None not in records:
+                    yield from records
                 else:
-                    records = read_canonical(text, len(block))
-                    misses = records.count(None)
-                    if not misses:
-                        line_no += len(block)
-                        yield from records
-                        continue
-                    if misses == len(block):
+                    if records.count(None) == len(block):
                         read_canonical = None
-            for offset, raw in enumerate(block):
-                line_no += 1
-                if records is not None and records[offset] is not None:
-                    yield records[offset]
-                    continue
-                try:
-                    try:
-                        line = raw.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise ParseError(f"invalid UTF-8: {exc.reason}") from exc
-                    yield parser(line)
-                except ParseError as exc:
-                    if mode == "strict":
-                        raise ParseError(f"{path}:{line_no}: {exc}") from exc
-                    if report is not None:
-                        report.record_skip(line_no)
+                    for offset, record in enumerate(records):
+                        if record is None:
+                            yield from _read_lines(
+                                block[offset : offset + 1], line_no + offset, path, parser, mode, report
+                            )
+                        else:
+                            yield record
+            line_no += len(block)
+        yield from _read_lines(handle, line_no, path, parser, mode, report)
+
+
+def _read_lines(
+    lines: Iterable[bytes],
+    line_no: int,
+    path: str,
+    parser: Callable[[str], T],
+    mode: str,
+    report: SkipReport | None,
+) -> Iterator[T]:
+    """``stream`` line by line, for the lines after line ``line_no``."""
+    for line_no, raw in enumerate(lines, start=line_no + 1):
+        try:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"invalid UTF-8: {exc.reason}") from exc
+            yield parser(line)
+        except ParseError as exc:
+            if mode == "strict":
+                raise ParseError(f"{path}:{line_no}: {exc}") from exc
+            if report is not None:
+                report.record_skip(line_no)
