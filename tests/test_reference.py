@@ -78,9 +78,9 @@ def written(pubs, affiliations, statements, references, compact=False):
 @st.composite
 def corpora(draw):
     """Records drawn by the aggregate tests' strategies, ids now and then
-    renamed, and written in either layout; up to two statements and references lines are
-    the CLI tests' garbage.  Also a citing-year window and a score for
-    some ids."""
+    renamed, and written in either layout; up to two statements and
+    references lines are the CLI tests' garbage.  Also a citing-year window
+    and a score for some ids."""
     names = RENAMES if draw(st.booleans()) else {}
     pubs = [
         PublicationRecord(pub.id, names.get(pub.journal_id, pub.journal_id),
