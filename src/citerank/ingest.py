@@ -22,7 +22,6 @@ forward compatibility; missing or mistyped required keys are parse errors.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -328,72 +327,65 @@ def dump_affiliation(rec: AffiliationRecord) -> str:
 
 # -- the canonical layout, read without the JSON decoder ---------------------
 #
-# Most input lines are in the layout the dump_* writers use: keys in schema
-# order, no whitespace, and no escape in any string.  In that layout a
-# string's JSON text is its value, so one regex match reads a line exactly
-# as its parser would: a nonempty string without a quote, backslash or
-# control character decodes to itself, and valid UTF-8 holds no lone
-# surrogate.  A year is four digits looked up in _years(); a miss means the
-# year is out of range or the line has another layout.  Every pattern's
-# second branch matches any other line with all groups empty, so findall
-# gives one match per line (plus an empty one after a final LF), and each
-# reader turns the lines its parser must see into None.  The patterns and
-# the year table are built on first use, so a run that reads only stores
-# and scores pays for neither.
+# The layout the dump_* writers use: keys in schema order, no whitespace,
+# and no escape in any string.  In that layout a string's JSON text is its
+# value, so one regex match reads a line exactly as its parser would: a
+# nonempty string without a quote, backslash or control character decodes
+# to itself, and valid UTF-8 holds no lone surrogate.  A year is four
+# digits; one out of range gives None.  The patterns are built from the
+# key tables the writers use.  Every pattern's second branch matches any
+# other line with all groups empty, so findall gives one match per line
+# (plus an empty one after a final LF), and each reader turns the lines its
+# parser must see into None.  re compiles a pattern on its first findall,
+# so a run that reads only stores and scores pays for none.
 
 _CHARS = r'[^"\\\x00-\x1f]+'
 _STRING = f'"({_CHARS})"'
 _YEAR = "([0-9]{4})"
+_STANCE = '"(' + "|".join(map(re.escape, STANCE_CLASSES)) + ')"'
+_IDS = rf'\[((?:"{_CHARS}"(?:,"{_CHARS}")*)?)\]'
 _new = tuple.__new__  # what NamedTuple._make calls, without the length check
 
 
-@functools.cache
-def _years() -> dict[str, int]:
-    return {str(year): year for year in range(MIN_YEAR, _MAX_YEAR + 1)}
+def _line_pattern(keys: tuple[str, ...], values: tuple[str, ...], required: int) -> str:
+    """One line of ``keys`` with ``values``: the first ``required`` members
+    always present, each later one optional, all in order."""
+    members = [re.escape(key) + value for key, value in zip(keys, values, strict=True)]
+    layout = ",".join(members[:required]) + "".join(f"(?:,{m})?" for m in members[required:])
+    return rf"(?m)^(?:\{{{layout}\}}\r?|.*)$"
 
 
-def _line_pattern(members: str) -> str:
-    # re compiles it on the first findall and keeps it in its cache
-    return rf"(?m)^(?:\{{{members}\}}\r?|.*)$"
-
-
-_STATEMENT_LINE = _line_pattern(
-    f'"citing_id":{_STRING},"cited_id":{_STRING},"citing_year":{_YEAR},'
-    f'"class":"({"|".join(STANCE_CLASSES)})"'
-)
-_REFERENCE_LINE = _line_pattern(f'"citing_id":{_STRING},"cited_id":{_STRING},"citing_year":{_YEAR}')
-_PUBLICATION_LINE = _line_pattern(
-    f'"id":{_STRING}(?:,"journal_id":{_STRING})?(?:,"field":{_STRING})?(?:,"year":{_YEAR})?'
-)
-_AFFILIATION_LINE = _line_pattern(
-    rf'"pub_id":{_STRING},"institution_ids":\[((?:"{_CHARS}"(?:,"{_CHARS}")*)?)\]'
-)
+_STATEMENT_LINE = _line_pattern(_STATEMENT_KEYS, (_STRING, _STRING, _YEAR, _STANCE), 4)
+_REFERENCE_LINE = _line_pattern(_REFERENCE_KEYS, (_STRING, _STRING, _YEAR), 3)
+_PUBLICATION_LINE = _line_pattern(_PUBLICATION_KEYS, (_STRING, _STRING, _STRING, _YEAR), 1)
+_AFFILIATION_LINE = _line_pattern(_AFFILIATION_KEYS, (_STRING, _IDS), 2)
 
 
 def _canonical_statements(text: str, count: int) -> list[StatementRecord | None]:
-    years = _years()
+    low, high = MIN_YEAR, _MAX_YEAR
     return [
-        None if (year := years.get(y)) is None
-        else _new(StatementRecord, (citing, cited, year, stance))
+        _new(StatementRecord, (citing, cited, year, stance))
+        if low <= (year := int(y or 0)) <= high else None
         for citing, cited, y, stance in re.findall(_STATEMENT_LINE, text)[:count]
     ]
 
 
 def _canonical_references(text: str, count: int) -> list[ReferenceEvent | None]:
-    years = _years()
+    low, high = MIN_YEAR, _MAX_YEAR
     return [
-        None if (year := years.get(y)) is None else _new(ReferenceEvent, (citing, cited, year))
+        _new(ReferenceEvent, (citing, cited, year))
+        if low <= (year := int(y or 0)) <= high else None
         for citing, cited, y in re.findall(_REFERENCE_LINE, text)[:count]
     ]
 
 
 def _canonical_publications(text: str, count: int) -> list[PublicationRecord | None]:
     # an empty group is an absent key
-    years = _years()
+    low, high = MIN_YEAR, _MAX_YEAR
     return [
-        _new(PublicationRecord, (pub_id, journal_id or None, field or None, years.get(year)))
-        if pub_id and (not year or year in years) else None
-        for pub_id, journal_id, field, year in re.findall(_PUBLICATION_LINE, text)[:count]
+        _new(PublicationRecord, (pub_id, journal_id or None, field or None, int(y) if y else None))
+        if pub_id and (not y or low <= int(y) <= high) else None
+        for pub_id, journal_id, field, y in re.findall(_PUBLICATION_LINE, text)[:count]
     ]
 
 
@@ -463,43 +455,41 @@ def stream(
             try:
                 text = b"".join(block).decode("utf-8")
             except UnicodeDecodeError:
-                yield from _read_lines(block, line_no, path, parser, mode, report)
+                records = [None] * len(block)
             else:
                 records = read_canonical(text, len(block))
                 if None not in records:
                     yield from records
-                else:
-                    if records.count(None) == len(block):
-                        read_canonical = None
-                    for offset, record in enumerate(records):
-                        if record is None:
-                            yield from _read_lines(
-                                block[offset : offset + 1], line_no + offset, path, parser, mode, report
-                            )
-                        else:
-                            yield record
-            line_no += len(block)
-        yield from _read_lines(handle, line_no, path, parser, mode, report)
+                    line_no += len(block)
+                    continue
+                if records.count(None) == len(block):
+                    read_canonical = None
+            for line_no, (raw, record) in enumerate(zip(block, records), start=line_no + 1):
+                if record is None:
+                    try:
+                        record = parser(raw.decode("utf-8"))
+                    except (ParseError, UnicodeDecodeError) as exc:
+                        _bad_line(exc, path, line_no, mode, report)
+                        continue
+                yield record
+        for line_no, raw in enumerate(handle, start=line_no + 1):
+            try:
+                yield parser(raw.decode("utf-8"))
+            except (ParseError, UnicodeDecodeError) as exc:
+                _bad_line(exc, path, line_no, mode, report)
 
 
-def _read_lines(
-    lines: Iterable[bytes],
-    line_no: int,
+def _bad_line(
+    exc: ParseError | UnicodeDecodeError,
     path: str,
-    parser: Callable[[str], T],
+    line_no: int,
     mode: str,
     report: SkipReport | None,
-) -> Iterator[T]:
-    """``stream`` line by line, for the lines after line ``line_no``."""
-    for line_no, raw in enumerate(lines, start=line_no + 1):
-        try:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"invalid UTF-8: {exc.reason}") from exc
-            yield parser(line)
-        except ParseError as exc:
-            if mode == "strict":
-                raise ParseError(f"{path}:{line_no}: {exc}") from exc
-            if report is not None:
-                report.record_skip(line_no)
+) -> None:
+    """Raise line ``line_no``'s defect with its location (strict), or count
+    the line as skipped (lenient)."""
+    if mode == "strict":
+        reason = f"invalid UTF-8: {exc.reason}" if isinstance(exc, UnicodeDecodeError) else exc
+        raise ParseError(f"{path}:{line_no}: {reason}") from exc
+    if report is not None:
+        report.record_skip(line_no)
