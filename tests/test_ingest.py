@@ -624,6 +624,21 @@ class TestCanonicalReadMatchesLineRead:
                 with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
                     assert read_outcome(stream, str(path), parser, mode) == expected
 
+    @pytest.mark.parametrize(
+        "case, key", [("statement", "citing_year"), ("reference", "citing_year"), ("publication", "year")]
+    )
+    def test_years_at_the_bounds(self, tmp_path, case, key):
+        # the draws above reach a dump-layout line with a year just out of
+        # range too rarely to pin the bounds every run
+        parser, dump, record = CANONICAL_CASES[case]
+        years = (MIN_YEAR - 1, MIN_YEAR, _MAX_YEAR, _MAX_YEAR + 1)
+        path = tmp_path / "years.jsonl"
+        _write_lines(path, [dump(record._replace(**{key: year})) for year in years])
+        for mode in ("strict", "lenient"):
+            outcome = read_outcome(stream, str(path), parser, mode)
+            assert outcome == read_outcome(oracle_stream, str(path), parser, mode)
+        assert [getattr(rec, key) for _, _, rec in outcome[0]] == [MIN_YEAR, _MAX_YEAR]
+
 
 # one record of each type, and its parser
 CANONICAL_CASES = {
