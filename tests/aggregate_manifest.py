@@ -30,8 +30,13 @@ whitespace), go through ``rank`` in every ``--format``, ``fields`` and
 ``correlate``.  One valid hand-written per-field store of exact ties
 (two institutions with equal tallies in one field, one institution in two
 fields, and one cell with an undefined ``si``) goes through ``fields`` in
-every ``--format`` and a refused ``rank``.  ``test_manifest.py`` holds
-every line to the file.
+every ``--format`` and a refused ``rank``.  Two plain stores of repeated
+tallies go through ``rank`` in every ``--format`` × ``--by`` and
+``correlate --by si|usi``, with the default exponent and with
+``--exponent 1e308``: one mixes the ``dump_store`` layout with spaced rows
+and holds a blank line, and in the other a tally whose ``si`` is not finite
+under 1e308 comes again after another such tally.  ``test_manifest.py``
+holds every line to the file.
 
 Each run goes in-process through ``cli.main`` with the working directory
 set to the corpus's own directory and relative paths, so the file names
@@ -114,6 +119,34 @@ TIES_ROWS = [
     _row("institution", "I3", "Maths", 0, 4, 0, 9),
     DIAGNOSTICS_ROW,
 ]
+
+
+REPEATS_STORES = {
+    # entities share tallies, some rows are spaced as json.dumps writes them,
+    # and one line is blank
+    "repeats.store.jsonl": [
+        _row("journal", "J1", None, 3, 1, 1, 12),
+        json.dumps(json.loads(_row("journal", "J2", None, 1, 0, 2, 5))),
+        "",
+        _row("journal", "J3", None, 3, 1, 1, 12),
+        _row("journal", "X9", None, 1, 0, 2, 5),
+        json.dumps(json.loads(_row("journal", "J4", None, 3, 1, 1, 12))),
+        _row("journal", "J5", None, 0, 4, 0, 9),
+        _row("journal", "J6", None, 0, 4, 0, 9),
+        DIAGNOSTICS_ROW,
+    ],
+    # under --exponent 1e308 neither J2 nor J3 has a finite si, and J2's
+    # tally comes again after J3's
+    "nonfinite.store.jsonl": [
+        _row("journal", "J1", None, 4, 1, 0, 20),
+        _row("journal", "J2", None, 1, 0, 5994, 10),
+        _row("journal", "J3", None, 1, 0, 999, 7),
+        _row("journal", "X9", None, 1, 0, 5994, 10),
+        _row("journal", "J4", None, 0, 2, 3, 4),
+        DIAGNOSTICS_ROW,
+    ],
+}
+HUGE_EXPONENT = ("--exponent", "1e308")
 
 
 def _compact(rows: list[str]) -> list[str]:
@@ -264,6 +297,23 @@ def _ties_runs() -> list[list[str]]:
     return [["fields", TIES_STORE, "--format", fmt] for fmt in FORMATS] + [["rank", TIES_STORE]]
 
 
+def _repeats_runs() -> list[list[str]]:
+    """``rank`` in every ``--format`` × ``--by`` and ``correlate --by
+    si|usi`` on each store of repeated tallies, with the default exponent
+    and with 1e308, in the current directory."""
+    runs = []
+    for store, rows in REPEATS_STORES.items():
+        _write_lines(store, rows)
+        for si_options in ((), HUGE_EXPONENT):
+            runs += [
+                ["rank", store, "--format", fmt, "--by", by, *si_options]
+                for fmt, by in itertools.product(FORMATS, METRICS)
+            ]
+            runs += [["correlate", store, "--scores", SCORES, "--by", by, *si_options]
+                     for by in METRICS]
+    return runs
+
+
 def manifest_lines(tmp_dir: Path) -> list[str]:
     """Run the whole matrix under ``tmp_dir`` and return the sorted lines."""
     lines = []
@@ -297,6 +347,10 @@ def manifest_lines(tmp_dir: Path) -> list[str]:
         (tmp_dir / "ties").mkdir()
         os.chdir(tmp_dir / "ties")
         lines += [f"ties\t{_run(args)[0]}" for args in _ties_runs()]
+        (tmp_dir / "repeats").mkdir()
+        os.chdir(tmp_dir / "repeats")
+        _write_lines(SCORES, SCORE_ROWS)
+        lines += [f"repeats\t{_run(args)[0]}" for args in _repeats_runs()]
     finally:
         os.chdir(saved_cwd)
         if saved_config is not None:

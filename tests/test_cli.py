@@ -7,16 +7,19 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import citerank
+from citerank import cli, ingest
 from citerank.aggregate import Store, dump_store, load_store
 from citerank.cli import COMMANDS, OPTIONS, _to_bool, build_parser, main
 from citerank.errors import ConfigError, DataError
-from citerank.linking import EntityKey
+from citerank.ingest import stream
+from citerank.linking import ENTITY_KINDS, EntityKey
 from citerank.metrics import EntityTally
 from citerank.rank import (
     FORMATS,
@@ -1343,3 +1346,84 @@ class TestStoreReadMatchesLibrary:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["rank", str(path), "--format", "csv"])
         assert (code, out.getvalue(), err.getvalue() if code else None) == expected
+
+
+# -- the CLI's store path against the per-line read ---------------------------
+
+# ids the dump layout holds as they are, ids it must escape, and ids an
+# escape-free pattern must not take apart
+STORE_IDS = ["E1", 'q"uote', "back\\slash", "ls\u2028ps", "astral\U0001f600", "é", "sp ace"]
+STORE_COUNTERS = st.integers(0, 40) | st.sampled_from([10**18 - 1, 10**18, 10**19, 10**25])
+
+
+@st.composite
+def store_files(draw):
+    """A store file's bytes: entity rows of one kind and grouping, each in
+    the layout ``dump_store`` writes or with ``json.dumps`` spacing, then a
+    diagnostics row, with blank lines and CRLF endings among them.  Into it
+    go up to two defects: a row that repeats an earlier id, has another kind
+    or grouping or follows the diagnostics row, a BOM, or a byte that is not
+    UTF-8."""
+    kind = draw(st.sampled_from(ENTITY_KINDS))
+    labels = st.sampled_from(["Physics", "Maths"]) if kind == "institution" else st.none()
+    labels = draw(st.sampled_from([labels, st.none()]))
+
+    def entity_row(entity_id, row_kind=kind, label_values=labels):
+        row = {"kind": row_kind, "id": entity_id}
+        label = draw(label_values)
+        if label is not None:
+            row["field"] = label
+        row.update((name, draw(STORE_COUNTERS)) for name in COUNTERS)
+        return row
+
+    ids = [f"E{n:03d}" if draw(st.integers(0, 3)) else name
+           for n, name in enumerate(draw(st.lists(st.sampled_from(STORE_IDS), max_size=60)))]
+    rows = [entity_row(entity_id) for entity_id in dict.fromkeys(ids)]
+    rows.append({"kind": "diagnostics", "events_seen": draw(st.integers(0, 9))})
+    lines = [
+        json.dumps(row, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        if draw(st.integers(0, 3)) else json.dumps(row).encode()
+        for row in rows
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(lines) - 1))
+        defect = draw(st.sampled_from(["repeat", "kind", "grouping", "after", "bom", "utf-8"]))
+        if defect == "bom":
+            lines[at] = b"\xef\xbb\xbf" + lines[at]
+        elif defect == "utf-8":
+            lines[at] = lines[at][:5] + b"\xff" + lines[at][5:]
+        else:
+            entity_id = draw(st.sampled_from(ids)) if ids else "E1"
+            if defect == "kind":
+                row = entity_row(entity_id, draw(st.sampled_from(ENTITY_KINDS)))
+            elif defect == "grouping":
+                row = entity_row(entity_id, label_values=st.sampled_from([None, "Bio"]))
+            else:
+                row = entity_row(entity_id)
+            if defect == "after":
+                at = len(lines)
+            lines.insert(at, json.dumps(row, separators=(",", ":"), ensure_ascii=False).encode())
+    ends = st.sampled_from([b"\n"] * 4 + [b"\r\n", b"\n\n", b"\n \r\n"])
+    data = b"".join(line + draw(ends) for line in lines)
+    return data.rstrip(b"\r\n") if draw(st.booleans()) else data
+
+
+def read_store_outcome(read, path):
+    try:
+        return ("store", read(path))
+    except DataError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+class TestStoreFileMatchesLineRead:
+    """The CLI reads a store file as ``load_store`` reads its lines one by one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=store_files())
+    def test_same_store_or_message(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("storefile") / "store.jsonl"
+        path.write_bytes(data)
+        expected = read_store_outcome(lambda p: load_store(stream(p, str), p), str(path))
+        for block_bytes in (1, 64, 2048):
+            with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                assert read_store_outcome(cli._load_store_file, str(path)) == expected

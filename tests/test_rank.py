@@ -367,11 +367,13 @@ CORRELATE_SCORES = (
 
 @st.composite
 def correlate_cases(draw):
-    """A plain store of any kind, a score map that misses some of its ids
-    and names foreign ones, a metric and an si configuration."""
+    """A plain store of any kind whose entities share a pool of one to three
+    tallies, a score map that misses some of its ids and names foreign ones,
+    a metric and an si configuration."""
     kind = draw(st.sampled_from(["journal", "institution", "field"]))
     ids = [f"E{i}" for i in range(draw(st.integers(0, 12)))]
-    store = store_of({EntityKey(kind, name): draw(CORRELATE_TALLIES) for name in ids})
+    pool = draw(st.lists(CORRELATE_TALLIES, min_size=1, max_size=3))
+    store = store_of({EntityKey(kind, name): draw(st.sampled_from(pool)) for name in ids})
     external = {}
     for name in draw(st.permutations(ids + ["X1", "X2"])):
         if draw(st.integers(0, 3)):
@@ -391,6 +393,84 @@ class TestCorrelateMatchesRankedOracle:
         ) == correlation_outcome(
             lambda: reference.correlate(tallies, external, metric, *astuple(si_config))
         )
+
+
+# -- rank against the reference model's rows --------------------------------
+
+
+@st.composite
+def rank_cases(draw):
+    """A plain store of any kind whose entities share a pool of one to three
+    tallies, so exact ties are common, and a RankSpec under any si
+    configuration."""
+    kind = draw(st.sampled_from(ENTITY_KINDS))
+    pool = draw(st.lists(CORRELATE_TALLIES, min_size=1, max_size=3))
+    ids = draw(st.lists(st.sampled_from([f"E{i}" for i in range(12)]), max_size=12, unique=True))
+    store = store_of({EntityKey(kind, name): draw(st.sampled_from(pool)) for name in ids})
+    spec = RankSpec(
+        metric=draw(st.sampled_from(METRICS)),
+        min_valenced=draw(st.sampled_from([0, 0, 2, 5])),
+        min_references=draw(st.sampled_from([0, 0, 3])),
+        top_k=draw(st.none() | st.integers(1, 6)),
+        si_config=draw(st.sampled_from(SI_CONFIGS)),
+    )
+    return store, spec
+
+
+class TestRankMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    def test_same_rows_exclusions_and_errors(self, case):
+        store, spec = case
+        tallies, _ = as_model(store)
+
+        def ranked():
+            rows, report = rank_entities(store, spec)
+            return model_rows(rows), asdict(report)
+
+        assert breakdown_outcome(ranked) == breakdown_outcome(
+            lambda: reference.rank(
+                tallies, spec.metric, min_valenced=spec.min_valenced,
+                min_references=spec.min_references, top=spec.top_k, exponent=spec.si_config.exponent,
+                log_base=spec.si_config.log_base,
+            )
+        )
+
+
+class TestRepeatedNonFiniteTally:
+    """Under exponent 1e308 two tallies have no finite si, and the first in
+    store order repeats after the second: each reader names the first."""
+
+    CONFIG = SiConfig(exponent=1e308)
+    TALLIES = [(3, 0, 1, 8), (1, 0, 5994, 10), (1, 0, 999, 7), (1, 0, 5994, 10), (4, 1, 0, 2)]
+
+    def expected(self):
+        with pytest.raises(reference.Refused) as refusal:
+            reference.scores(self.TALLIES[1], exponent=1e308)
+        return str(refusal.value)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_rank_and_correlate(self, metric):
+        store = store_of({
+            EntityKey("journal", f"J{n}"): EntityTally(*counts)
+            for n, counts in enumerate(self.TALLIES)
+        })
+        with pytest.raises(DataError) as error:
+            rank_entities(store, RankSpec(metric, si_config=self.CONFIG))
+        assert str(error.value) == self.expected()
+        assert "references=10," in str(error.value)
+        with pytest.raises(DataError) as error:
+            correlate(store, {"J0": 1.0, "J4": 2.0}, metric, self.CONFIG)
+        assert str(error.value) == self.expected()
+
+    def test_fields(self):
+        store = store_of({
+            EntityKey("institution", f"I{n}", "Physics"): EntityTally(*counts)
+            for n, counts in enumerate(self.TALLIES)
+        })
+        with pytest.raises(DataError) as error:
+            field_breakdown(store, self.CONFIG)
+        assert str(error.value) == self.expected()
 
 
 # -- fields against the reference model's cells ---------------------------
