@@ -9,13 +9,16 @@ reference file twice does not double anyone's volume.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 from typing import Iterable
 
 from .errors import ConfigError, DataError, ParseError
 from .ingest import STANCE_CLASSES, ReferenceEvent, StatementRecord, _decode_line
-from .ingest import _has_lone_surrogate, _json_keys, _json_members
+from .ingest import _CANONICAL_READERS, _STRING, _has_lone_surrogate, _json_keys, _json_members
+from .ingest import _line_pattern, _new
 from .linking import ENTITY_KINDS, EntityKey, LinkTables
 from .metrics import EntityTally
 
@@ -227,21 +230,62 @@ _ROW_KEYS = _json_keys(("kind", "id", *_COUNTERS))
 _FIELD_ROW_KEYS = _json_keys(("kind", "id", "field", *_COUNTERS))
 
 
+def _row_template(keys: tuple[str, ...]) -> str:
+    """A store row of ``keys``, each value a ``%s`` taking its JSON text."""
+    return "{" + ",".join(key.replace("%", "%%") + "%s" for key in keys) + "}\n"
+
+
+_ROW = _row_template(_ROW_KEYS)
+_FIELD_ROW = _row_template(_FIELD_ROW_KEYS)
+
+
 def dump_store(store: Store) -> str:
-    lines = []
-    for key, tally in sorted(
-        store.tallies.items(), key=lambda item: (item[0].kind, item[0].id, item[0].field or "")
-    ):
-        counts = _tally_counts(tally)
-        if key.field is None:
-            lines.append("{" + _json_members(_ROW_KEYS, (key.kind, key.id, *counts)) + "}\n")
-        else:
-            lines.append("{" + _json_members(_FIELD_ROW_KEYS, (*key, *counts)) + "}\n")
+    lines = [
+        _ROW % (_quote(key.kind), _quote(key.id), *_tally_counts(tally))
+        if key.field is None
+        else _FIELD_ROW % (*map(_quote, key), *_tally_counts(tally))
+        for key, tally in sorted(
+            store.tallies.items(),
+            key=lambda item: (item[0].kind, item[0].id, item[0].field or ""),
+        )
+    ]
     diagnostics = store.diagnostics.as_dict()
     keys = _json_keys(("kind", *diagnostics))
     lines.append("{" + _json_members(keys, (DIAGNOSTICS_KIND, *diagnostics.values())) + "}\n")
     # rows carry their own "\n", so one join builds the text and nothing copies it
     return "".join(lines)
+
+
+# A row in the layout ``dump_store`` writes, read as ``ingest.stream`` reads
+# the input streams: a counter is at most 18 digits, so int() reads it as
+# the JSON decoder would, and a longer one goes to the per-line parser.
+_STORE_LINE = _line_pattern(
+    _FIELD_ROW_KEYS,
+    ('"(' + "|".join(map(re.escape, ENTITY_KINDS)) + ')"', _STRING, _STRING,
+     *["(0|[1-9][0-9]{0,17})"] * len(_COUNTERS)),
+    range(2, 3),
+)
+
+
+def store_line(line: str) -> str:
+    """The parser to give ``ingest.stream`` when ``load_store`` reads its
+    lines: it keeps each line as it is, and ``stream`` reads the lines in
+    the layout ``dump_store`` writes a block at a time, as (key, tally)
+    rows."""
+    return line
+
+
+def _canonical_store_rows(text: str, count: int) -> list[tuple[EntityKey, EntityTally] | None]:
+    return [
+        (_new(EntityKey, (kind, entity_id, label or None)),
+         EntityTally(int(supporting), int(mentioning), int(contrasting), int(references)))
+        if kind else None
+        for kind, entity_id, label, supporting, mentioning, contrasting, references
+        in re.findall(_STORE_LINE, text)[:count]
+    ]
+
+
+_CANONICAL_READERS[store_line] = _canonical_store_rows
 
 
 def load_store(source: Iterable[str], path: str = "<store>") -> Store:
@@ -258,72 +302,95 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     missing counter reads as 0, and any other key, the derived
     ``out_of_window`` and ``unresolved`` included, is ignored and not
     checked against its parts.
+
+    ``source`` yields the lines.  ``stream(path, store_line)`` yields the
+    lines of a file, but a line in the layout ``dump_store`` writes as its
+    (key, tally) row, so only the checks across rows are left for it.
     """
     tallies: dict[EntityKey, EntityTally] = {}
+    add = tallies.setdefault
     kind: str | None = None
     per_field: bool | None = None
     diagnostics: Diagnostics | None = None
     for line_no, line in enumerate(source, start=1):
-        if not line.strip(" \t\r\n"):
-            continue
         try:
-            if diagnostics is not None:
-                raise ParseError("rows after the diagnostics record")
-            row = _decode_line(line)
-            if not isinstance(row, dict) or "kind" not in row:
-                raise ParseError("expected an object with a 'kind' key")
-            row_kind = row["kind"]
-            if row_kind == DIAGNOSTICS_KIND:
-                diagnostics = _load_diagnostics(row)
-                continue
-            if row_kind not in ENTITY_KINDS:
-                raise ParseError(f"unknown entity kind {row_kind!r}")
-            if kind is None:
-                kind = row_kind
-            elif row_kind != kind:
-                raise ParseError(f"mixed entity kinds {kind!r} and {row_kind!r}")
-            entity_id = row.get("id")
-            if type(entity_id) is not str or not entity_id:
-                raise ParseError("'id' must be a nonempty string")
-            label = row.get("field")
-            if label is not None and (type(label) is not str or not label):
-                raise ParseError("'field' must be a nonempty string")
-            if _has_lone_surrogate(entity_id):
-                raise ParseError("'id' holds a lone surrogate")
-            if label is not None and _has_lone_surrogate(label):
-                raise ParseError("'field' holds a lone surrogate")
-            if per_field is None:
-                # later rows share this row's kind and grouping, so one check covers them
-                per_field = label is not None
-                if per_field and kind != "institution":
-                    raise ParseError(f"per-field rows need kind 'institution', got {kind!r}")
-            elif (label is not None) is not per_field:
-                raise ParseError("mixed per-field and plain rows")
-            # JSON yields exact types, so ``type(x) is int`` excludes bools;
-            # EntityTally rejects a negative counter
-            supporting = row.get("supporting")
-            mentioning = row.get("mentioning")
-            contrasting = row.get("contrasting")
-            references = row.get("references")
-            if not (
-                type(supporting) is int
-                and type(mentioning) is int
-                and type(contrasting) is int
-                and type(references) is int
-            ):
-                raise _counter_error(row)
-            try:
-                tally = EntityTally(supporting, mentioning, contrasting, references)
-            except ValueError:
-                raise _counter_error(row) from None
-            if tallies.setdefault(EntityKey(kind, entity_id, label), tally) is not tally:
-                where = "" if label is None else f" in field {label!r}"
-                raise ParseError(f"duplicate entity {kind}/{entity_id}{where}")
+            if type(line) is tuple:
+                if diagnostics is not None:
+                    raise ParseError("rows after the diagnostics record")
+                key, tally = line
+                if key.kind != kind or (key.field is not None) is not per_field:
+                    kind = _store_kind(kind, key.kind)
+                    per_field = _store_grouping(per_field, kind, key.field)
+            else:
+                if not line.strip(" \t\r\n"):
+                    continue
+                if diagnostics is not None:
+                    raise ParseError("rows after the diagnostics record")
+                row = _decode_line(line)
+                if not isinstance(row, dict) or "kind" not in row:
+                    raise ParseError("expected an object with a 'kind' key")
+                if row["kind"] == DIAGNOSTICS_KIND:
+                    diagnostics = _load_diagnostics(row)
+                    continue
+                kind = _store_kind(kind, row["kind"])
+                entity_id = row.get("id")
+                if type(entity_id) is not str or not entity_id:
+                    raise ParseError("'id' must be a nonempty string")
+                label = row.get("field")
+                if label is not None and (type(label) is not str or not label):
+                    raise ParseError("'field' must be a nonempty string")
+                if _has_lone_surrogate(entity_id):
+                    raise ParseError("'id' holds a lone surrogate")
+                if label is not None and _has_lone_surrogate(label):
+                    raise ParseError("'field' holds a lone surrogate")
+                per_field = _store_grouping(per_field, kind, label)
+                # JSON yields exact types, so ``type(x) is int`` excludes bools;
+                # EntityTally rejects a negative counter
+                supporting = row.get("supporting")
+                mentioning = row.get("mentioning")
+                contrasting = row.get("contrasting")
+                references = row.get("references")
+                if not (
+                    type(supporting) is int
+                    and type(mentioning) is int
+                    and type(contrasting) is int
+                    and type(references) is int
+                ):
+                    raise _counter_error(row)
+                try:
+                    tally = EntityTally(supporting, mentioning, contrasting, references)
+                except ValueError:
+                    raise _counter_error(row) from None
+                key = EntityKey(kind, entity_id, label)
+            if add(key, tally) is not tally:
+                where = "" if key.field is None else f" in field {key.field!r}"
+                raise ParseError(f"duplicate entity {kind}/{key.id}{where}")
         except ParseError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
     if diagnostics is None:
         raise DataError(f"{path}: missing trailing diagnostics record")
     return Store(tallies, diagnostics)
+
+
+def _store_kind(kind: str | None, row_kind: object) -> str:
+    """The store's kind once a row of ``row_kind`` is read."""
+    if row_kind not in ENTITY_KINDS:
+        raise ParseError(f"unknown entity kind {row_kind!r}")
+    if kind is not None and row_kind != kind:
+        raise ParseError(f"mixed entity kinds {kind!r} and {row_kind!r}")
+    return row_kind
+
+
+def _store_grouping(per_field: bool | None, kind: str, label: str | None) -> bool:
+    """Whether the store is per-field, once a row of ``kind`` with field
+    ``label`` is read."""
+    if per_field is None:
+        if label is not None and kind != "institution":
+            raise ParseError(f"per-field rows need kind 'institution', got {kind!r}")
+        return label is not None
+    if (label is not None) is not per_field:
+        raise ParseError("mixed per-field and plain rows")
+    return per_field
 
 
 def _counter_error(row: dict) -> ParseError:

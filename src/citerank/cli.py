@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage or configuration, 2 data, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .aggregate import (
     count_statement_excess,
     dump_store,
     load_store,
+    store_line,
 )
 from .errors import ConfigError, DataError, ParseError
 from .ingest import (
@@ -253,7 +255,7 @@ def _si_config(opts: argparse.Namespace) -> SiConfig:
 
 
 def _load_store_file(path: str) -> Store:
-    return load_store(stream(path, str), path)
+    return load_store(stream(path, store_line), path)
 
 
 def _read_scores(path: str) -> dict[str, float]:
@@ -452,6 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # what import made lives as long as the process: leave it out of every
+    # collection, which then scans only what the command builds
+    gc.freeze()
     sys.exit(main())
 
 

@@ -347,18 +347,21 @@ _IDS = rf'\[((?:"{_CHARS}"(?:,"{_CHARS}")*)?)\]'
 _new = tuple.__new__  # what NamedTuple._make calls, without the length check
 
 
-def _line_pattern(keys: tuple[str, ...], values: tuple[str, ...], required: int) -> str:
-    """One line of ``keys`` with ``values``: the first ``required`` members
-    always present, each later one optional, all in order."""
+def _line_pattern(keys: tuple[str, ...], values: tuple[str, ...], optional: range = range(0)) -> str:
+    """One line of ``keys`` with ``values``, all in order; the members at
+    the ``optional`` indexes, never the first, may be absent."""
     members = [re.escape(key) + value for key, value in zip(keys, values, strict=True)]
-    layout = ",".join(members[:required]) + "".join(f"(?:,{m})?" for m in members[required:])
+    layout = members[0] + "".join(
+        f"(?:,{member})?" if n in optional else f",{member}"
+        for n, member in enumerate(members[1:], start=1)
+    )
     return rf"(?m)^(?:\{{{layout}\}}\r?|.*)$"
 
 
-_STATEMENT_LINE = _line_pattern(_STATEMENT_KEYS, (_STRING, _STRING, _YEAR, _STANCE), 4)
-_REFERENCE_LINE = _line_pattern(_REFERENCE_KEYS, (_STRING, _STRING, _YEAR), 3)
-_PUBLICATION_LINE = _line_pattern(_PUBLICATION_KEYS, (_STRING, _STRING, _STRING, _YEAR), 1)
-_AFFILIATION_LINE = _line_pattern(_AFFILIATION_KEYS, (_STRING, _IDS), 2)
+_STATEMENT_LINE = _line_pattern(_STATEMENT_KEYS, (_STRING, _STRING, _YEAR, _STANCE))
+_REFERENCE_LINE = _line_pattern(_REFERENCE_KEYS, (_STRING, _STRING, _YEAR))
+_PUBLICATION_LINE = _line_pattern(_PUBLICATION_KEYS, (_STRING, _STRING, _STRING, _YEAR), range(1, 4))
+_AFFILIATION_LINE = _line_pattern(_AFFILIATION_KEYS, (_STRING, _IDS))
 
 
 def _canonical_statements(text: str, count: int) -> list[StatementRecord | None]:
@@ -437,12 +440,13 @@ def stream(
     is read as bytes, and a block that is not valid UTF-8 is decoded line
     by line, so one bad byte costs one line, not the run.
 
-    For the four input parsers the file is read in blocks of about 2 KiB of
-    whole lines, each matched against the canonical layout above in one
-    regex scan, and only the lines outside it go to the parser.  A block
-    with no canonical line stops the scans, and the rest of the file is read
-    line by line, as every file is for the other parsers.  The records,
-    messages and skips are the parser's own.
+    For the four input parsers, and for store rows (``aggregate``
+    registers its own reader in ``_CANONICAL_READERS``), the file is read in
+    blocks of about 2 KiB of whole lines, each matched against the canonical
+    layout in one regex scan, and only the lines outside it go to the
+    parser.  A block with no canonical line stops the scans, and the rest of
+    the file is read line by line, as every file is for the other parsers.
+    The records, messages and skips are the parser's own.
 
     An unreadable path raises OSError from open(), untouched.
     """

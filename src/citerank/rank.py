@@ -9,15 +9,18 @@ or in exactly one bucket of the exclusion report.
 
 from __future__ import annotations
 
+import heapq
 import io
 import sys
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
+from json.encoder import encode_basestring as _quote
+from operator import attrgetter, itemgetter
+from typing import IO, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .aggregate import Store, _tally_counts
 from .errors import ConfigError
-from .ingest import _json_keys, _json_members
+from .ingest import _new
 from .linking import EntityKey
 from .metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
 
@@ -122,12 +125,32 @@ def round_display(value: float | None) -> str:
     )
 
 
-def _scores(tally: EntityTally, si_config: SiConfig) -> tuple[float | None, float | None]:
-    """The tally's usi and si; si is None whenever usi is."""
-    usi_value = usi(tally.supporting, tally.contrasting)
+_score_counts = attrgetter("supporting", "contrasting", "references")
+
+
+def _scores(counts: tuple[int, int, int], si_config: SiConfig) -> tuple[float | None, float | None]:
+    """The usi and si of (supporting, contrasting, references); si is None
+    whenever usi is."""
+    supporting, contrasting, references = counts
+    usi_value = usi(supporting, contrasting)
     if usi_value is None:
         return None, None
-    return usi_value, si(tally.references, usi_value, si_config)
+    return usi_value, si(references, usi_value, si_config)
+
+
+class _Memo(dict):
+    """``function`` of each value, called once per distinct value.  0.0 and
+    -0.0 are one key with two texts, so a falsy value is not kept."""
+
+    def __init__(self, function: Callable[[Any], Any]):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, value: Any) -> Any:
+        result = self.function(value)
+        if value:
+            self[value] = result
+        return result
 
 
 def require_plain_store(store: Store, command: str) -> None:
@@ -149,31 +172,43 @@ def rank_entities(
     ascending (then field label, for per-field stores).
     """
     report = ExclusionReport()
-    scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
+    kind, by_usi = spec.kind, spec.metric == "usi"
+    min_valenced, min_references, top_k = spec.min_valenced, spec.min_references, spec.top_k
+    # each distinct tally scored once, in store order, so the first whose si
+    # is not finite raises, as it would were every tally scored
+    scores = _Memo(lambda counts: _scores(counts, spec.si_config))
+    # (-metric, id, field, store position, key, tally, usi, si): the position
+    # makes every entry distinct, so the sort compares nothing past it and
+    # keeps store order among exact ties
+    scored: list[tuple] = []
     for key, tally in store.tallies.items():
-        if spec.kind is not None and key.kind != spec.kind:
-            raise ConfigError(f"spec expects kind {spec.kind!r} but store holds {key.kind!r}")
-        if tally.valenced < spec.min_valenced:
+        if kind is not None and key.kind != kind:
+            raise ConfigError(f"spec expects kind {kind!r} but store holds {key.kind!r}")
+        counts = _score_counts(tally)
+        supporting, contrasting, references = counts
+        if supporting + contrasting < min_valenced:
             report.below_min_valenced += 1
             continue
-        if tally.references < spec.min_references:
+        if references < min_references:
             report.below_min_references += 1
             continue
-        usi_value, si_value = _scores(tally, spec.si_config)
-        metric_value = usi_value if spec.metric == "usi" else si_value
+        usi_value, si_value = scores[counts]
+        metric_value = usi_value if by_usi else si_value
         if metric_value is None:
             report.undefined_metric += 1
             continue
-        scored.append((metric_value, key, tally, usi_value, si_value))
+        scored.append((-metric_value, key.id, key.field or "", len(scored), key, tally,
+                       usi_value, si_value))
 
-    scored.sort(key=lambda item: (-item[0], item[1].id, item[1].field or ""))
-    if spec.top_k is not None and len(scored) > spec.top_k:
-        report.beyond_top_k = len(scored) - spec.top_k
-        scored = scored[: spec.top_k]
+    if top_k is not None and len(scored) > top_k:
+        report.beyond_top_k = len(scored) - top_k
+        scored = heapq.nsmallest(top_k, scored)
+    else:
+        scored.sort()
 
     rows = [
-        RankedRow(position, key, tally, usi_value, si_value)
-        for position, (_, key, tally, usi_value, si_value) in enumerate(scored, start=1)
+        _new(RankedRow, (position, key, tally, usi_value, si_value))
+        for position, (_, _, _, _, key, tally, usi_value, si_value) in enumerate(scored, start=1)
     ]
     return rows, report
 
@@ -196,8 +231,11 @@ def field_breakdown(
         raise ConfigError("fields needs a per-field institution store")
     rows, report = rank_entities(store, RankSpec(si_config=si_config))
     # stable, so each field keeps the ranking's (si descending, id) order
-    rows.sort(key=lambda row: row.entity.field)
+    rows.sort(key=_entity_field)
     return rows, report
+
+
+_entity_field = attrgetter("entity.field")
 
 
 @dataclass(slots=True)
@@ -227,23 +265,28 @@ def correlate(
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
     require_plain_store(store, "correlate")
+    tallies = store.tallies
+    # each distinct tally scored once, in store order, as rank_entities does
+    scores = _Memo(lambda counts: _scores(counts, si_config))
+    values = map(itemgetter(0 if metric == "usi" else 1),
+                 map(scores.__getitem__, map(_score_counts, tallies.values())))
+    # (-value, id, external value): equal ids hold equal external values, so
+    # the sort orders the points as sorting by (-value, id) alone would
     matched: list[tuple[float, str, float]] = []
     defined = 0
     # not through rank_entities, which would sort and build a row for every
     # scored entity, where correlate needs to sort only the matched points
-    for key, tally in store.tallies.items():
-        usi_value, si_value = _scores(tally, si_config)
-        value = usi_value if metric == "usi" else si_value
+    for key, value in zip(tallies, values):
         if value is None:
             continue
         defined += 1
         outside = external.get(key.id)
         if outside is not None:
-            matched.append((value, key.id, float(outside)))
+            matched.append((-value, key.id, float(outside)))
     # summed in ranking order, so r's last bits never follow the store's row order
-    matched.sort(key=lambda item: (-item[0], item[1]))
+    matched.sort()
     return CorrelationResult(
-        r=pearson([(value, outside) for value, _, outside in matched]),
+        r=pearson([(-negated, outside) for negated, _, outside in matched]),
         matched=len(matched),
         unmatched_rows=defined - len(matched),
         unmatched_external=len(external) - len(matched),
@@ -253,8 +296,8 @@ def correlate(
 # -- exports ---------------------------------------------------------------
 #
 # All three formats are deterministic byte-for-byte for a given row list.
-# ``write_rows`` and ``write_breakdown`` write a table to a text handle row
-# by row; ``export_rows`` returns the ranked table's text.
+# ``write_rows`` and ``write_breakdown`` write a table to a text handle a
+# chunk of rows at a time; ``export_rows`` returns the ranked table's text.
 # csv and json carry exact values (repr round-trips them losslessly); the
 # markdown table is the human view and shows display strings only.
 #
@@ -262,13 +305,24 @@ def correlate(
 # str, int, finite float or None.  csv writes a number as its repr and None
 # as an empty cell, and quotes a string holding a comma, a quote, CR or LF.
 # json writes ``json.dumps(rows, indent=2, ensure_ascii=False)`` and a newline.
+# A row is one ``%`` of its format's template, built from the columns, over
+# its cells already in the format's text (``str`` of an int or a float is
+# its repr).  csv and json cells are made a chunk at a time, column by
+# column, by C-level ``map`` and ``zip``.
+
+# rows per write: enough to make the calls few, few enough that the text in
+# memory stays a small fraction of a large table's
+_CHUNK_ROWS = 128
 
 
 class _Table(NamedTuple):
     columns: tuple[str, ...]
-    cells: Callable[[Any], tuple]
-    md_header: str
-    md_cells: Callable[[Any], tuple[str, ...]]
+    # (rows, text of a str, text of an exact value or None, display text of
+    # one) -> the rows' cells
+    cells: Callable[..., Iterable[tuple]]
+    md_columns: tuple[tuple[str, str], ...]  # (title, alignment)
+    # (row, display string of an exact value) -> markdown cells
+    md_cells: Callable[[Any, Callable[[Any], str]], tuple]
 
 
 def _csv_text(text: str) -> str:
@@ -277,34 +331,45 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _csv_line(cells: Sequence) -> str:
-    texts = [_csv_text(v) if type(v) is str else "" if v is None else repr(v) for v in cells]
-    return ",".join(texts) + "\n"
+def _templates(table: _Table) -> dict[str, tuple[str, str, str]]:
+    """Per format: the header, a row's template and the text between rows."""
+    width = len(table.columns)
+    json_members = (_quote(name).replace("%", "%%") + ": %s" for name in table.columns)
+    md_titles, md_alignments = zip(*table.md_columns)
+    return {
+        "csv": (",".join(map(_csv_text, table.columns)) + "\n", ",".join(["%s"] * width) + "\n", ""),
+        "json": ("[\n", "  {\n    " + ",\n    ".join(json_members) + "\n  }", ",\n"),
+        "md": (
+            "| " + " | ".join(md_titles) + " |\n| " + " | ".join(md_alignments) + " |\n",
+            "| " + " | ".join(["%s"] * len(md_titles)) + " |\n",
+            "",
+        ),
+    }
 
 
 def _write_table(table: _Table, rows: Sequence, fmt: str, out: IO[str]) -> None:
-    """Write each row to ``out`` as soon as it is formatted, so memory
-    holds one row's text at a time however long the table is."""
+    """Write ``rows`` to ``out`` a chunk at a time, so memory holds one
+    chunk's text however long the table is."""
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    if fmt == "csv":
-        out.write(_csv_line(table.columns))
-        for row in rows:
-            out.write(_csv_line(table.cells(row)))
-    elif fmt == "json":
-        if not rows:
-            out.write("[]\n")
-            return
-        keys = _json_keys(table.columns, ": ")
-        opening = "[\n  {\n    "
-        for row in rows:
-            out.write(opening + _json_members(keys, table.cells(row), ",\n    "))
-            opening = "\n  },\n  {\n    "
-        out.write("\n  }\n]\n")
-    else:
-        out.write(table.md_header + "\n")
-        for row in rows:
-            out.write("| " + " | ".join(table.md_cells(row)) + " |\n")
+    if fmt == "json" and not rows:
+        out.write("[]\n")
+        return
+    header, template, between = _TEMPLATES[table][fmt]
+    text, null = {"csv": (_csv_text, ""), "json": (_quote, "null"), "md": (str, "")}[fmt]
+    out.write(header)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        # a chunk's own texts of each exact value: a table's would grow with the table
+        shown = _Memo(lambda value: text(round_display(value))).__getitem__
+        if fmt == "md":
+            cells = [table.md_cells(row, shown) for row in chunk]
+        else:
+            exact = _Memo(lambda value: null if value is None else repr(value)).__getitem__
+            cells = table.cells(chunk, text, exact, shown)
+        out.write((between if start else "") + between.join(map(template.__mod__, cells)))
+    if fmt == "json":
+        out.write("\n]\n")
 
 
 def _md_escape(text: str) -> str:
@@ -314,30 +379,50 @@ def _md_escape(text: str) -> str:
     return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 
+def _rank_cells(rows: Sequence[RankedRow], text: Callable[[str], str], exact: Callable,
+                shown: Callable) -> Iterable[tuple]:
+    ranks, entities, tallies, usis, sis = zip(*rows)
+    kinds, ids, _ = zip(*entities)
+    return zip(
+        map(text, kinds),
+        map(text, ids),
+        *zip(*map(_tally_counts, tallies)),
+        map(exact, usis),
+        map(exact, sis),
+        map(shown, usis),
+        map(shown, sis),
+        ranks,
+    )
+
+
+def _breakdown_cells(rows: Sequence[RankedRow], text: Callable[[str], str], exact: Callable,
+                     shown: Callable) -> Iterable[tuple]:
+    _, entities, tallies, usis, sis = zip(*rows)
+    _, institutions, labels = zip(*entities)
+    return zip(
+        map(text, institutions),
+        map(text, labels),
+        *zip(*map(_tally_counts, tallies)),
+        map(exact, usis),
+        map(exact, sis),
+    )
+
+
 _RANK_TABLE = _Table(
     columns=(
         "kind", "id", "supporting", "mentioning", "contrasting", "references",
         "usi_exact", "si_exact", "usi_display", "si_display", "rank",
     ),
-    cells=lambda row: (
-        row.entity.kind,
-        row.entity.id,
-        *_tally_counts(row.tally),
-        row.usi_exact,
-        row.si_exact,
-        row.usi_display,
-        row.si_display,
-        row.rank,
+    cells=_rank_cells,
+    md_columns=(
+        ("Entity", ":--"), ("Supporting", "--:"), ("Mentioning", "--:"),
+        ("Contrasting", "--:"), ("USI", "--:"), ("SI", "--:"),
     ),
-    md_header=(
-        "| Entity | Supporting | Mentioning | Contrasting | USI | SI |\n"
-        "| :-- | --: | --: | --: | --: | --: |"
-    ),
-    md_cells=lambda row: (
+    md_cells=lambda row, shown: (
         _md_escape(row.entity.id),
         *(f"{count:,}" for count in _tally_counts(row.tally)[:3]),
-        row.usi_display,
-        row.si_display or "n/a",
+        shown(row.usi_exact),
+        shown(row.si_exact) or "n/a",
     ),
 )
 
@@ -346,25 +431,21 @@ _BREAKDOWN_TABLE = _Table(
         "institution", "field", "supporting", "mentioning", "contrasting",
         "references", "usi_exact", "si_exact",
     ),
-    cells=lambda row: (
-        row.entity.id,
-        row.entity.field,
-        *_tally_counts(row.tally),
-        row.usi_exact,
-        row.si_exact,
+    cells=_breakdown_cells,
+    md_columns=(
+        ("Institution", ":--"), ("Field", ":--"), ("Supporting", "--:"), ("Mentioning", "--:"),
+        ("Contrasting", "--:"), ("References", "--:"), ("USI", "--:"), ("SI", "--:"),
     ),
-    md_header=(
-        "| Institution | Field | Supporting | Mentioning | Contrasting | References | USI | SI |\n"
-        "| :-- | :-- | --: | --: | --: | --: | --: | --: |"
-    ),
-    md_cells=lambda row: (
+    md_cells=lambda row, shown: (
         _md_escape(row.entity.id),
         _md_escape(row.entity.field),
         *(f"{count:,}" for count in _tally_counts(row.tally)),
-        row.usi_display,
-        row.si_display,
+        shown(row.usi_exact),
+        shown(row.si_exact),
     ),
 )
+
+_TEMPLATES = {table: _templates(table) for table in (_RANK_TABLE, _BREAKDOWN_TABLE)}
 
 
 def export_rows(rows: list[RankedRow], fmt: str) -> str:
@@ -374,10 +455,10 @@ def export_rows(rows: list[RankedRow], fmt: str) -> str:
 
 
 def write_rows(rows: Sequence[RankedRow], fmt: str, out: IO[str]) -> None:
-    """Write what ``export_rows`` returns to ``out``, row by row."""
+    """Write what ``export_rows`` returns to ``out``, a chunk of rows at a time."""
     _write_table(_RANK_TABLE, rows, fmt, out)
 
 
 def write_breakdown(rows: Sequence[RankedRow], fmt: str, out: IO[str]) -> None:
-    """Write the per-field breakdown table to ``out``, row by row."""
+    """Write the per-field breakdown table to ``out``, a chunk of rows at a time."""
     _write_table(_BREAKDOWN_TABLE, rows, fmt, out)
