@@ -275,9 +275,13 @@ def store_line(line: str) -> str:
     return line
 
 
+# each row's key holds the one kind string, as a row the JSON decoder reads does
+_KINDS = {kind: kind for kind in ENTITY_KINDS}
+
+
 def _canonical_store_rows(text: str, count: int) -> list[tuple[EntityKey, EntityTally] | None]:
     return [
-        (_new(EntityKey, (kind, entity_id, label or None)),
+        (_new(EntityKey, (_KINDS[kind], entity_id, label or None)),
          EntityTally(int(supporting), int(mentioning), int(contrasting), int(references)))
         if kind else None
         for kind, entity_id, label, supporting, mentioning, contrasting, references
@@ -376,9 +380,11 @@ def _store_kind(kind: str | None, row_kind: object) -> str:
     """The store's kind once a row of ``row_kind`` is read."""
     if row_kind not in ENTITY_KINDS:
         raise ParseError(f"unknown entity kind {row_kind!r}")
-    if kind is not None and row_kind != kind:
+    if kind is None:
+        return row_kind
+    if row_kind != kind:
         raise ParseError(f"mixed entity kinds {kind!r} and {row_kind!r}")
-    return row_kind
+    return kind
 
 
 def _store_grouping(per_field: bool | None, kind: str, label: str | None) -> bool:
