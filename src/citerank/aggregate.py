@@ -336,7 +336,8 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
                 if row["kind"] == DIAGNOSTICS_KIND:
                     diagnostics = _load_diagnostics(row)
                     continue
-                kind = _store_kind(kind, row["kind"])
+                if row["kind"] != kind:
+                    kind = _store_kind(kind, row["kind"])
                 entity_id = row.get("id")
                 if type(entity_id) is not str or not entity_id:
                     raise ParseError("'id' must be a nonempty string")
@@ -347,7 +348,8 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
                     raise ParseError("'id' holds a lone surrogate")
                 if label is not None and _has_lone_surrogate(label):
                     raise ParseError("'field' holds a lone surrogate")
-                per_field = _store_grouping(per_field, kind, label)
+                if (label is not None) is not per_field:
+                    per_field = _store_grouping(per_field, kind, label)
                 # JSON yields exact types, so ``type(x) is int`` excludes bools;
                 # EntityTally rejects a negative counter
                 supporting = row.get("supporting")

@@ -9,18 +9,15 @@ or in exactly one bucket of the exclusion report.
 
 from __future__ import annotations
 
-import heapq
 import io
 import sys
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
 from json.encoder import encode_basestring as _quote
-from operator import attrgetter, itemgetter
 from typing import IO, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .aggregate import Store, _tally_counts
 from .errors import ConfigError
-from .ingest import _new
 from .linking import EntityKey
 from .metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
 
@@ -125,32 +122,12 @@ def round_display(value: float | None) -> str:
     )
 
 
-_score_counts = attrgetter("supporting", "contrasting", "references")
-
-
-def _scores(counts: tuple[int, int, int], si_config: SiConfig) -> tuple[float | None, float | None]:
-    """The usi and si of (supporting, contrasting, references); si is None
-    whenever usi is."""
-    supporting, contrasting, references = counts
-    usi_value = usi(supporting, contrasting)
+def _scores(tally: EntityTally, si_config: SiConfig) -> tuple[float | None, float | None]:
+    """The tally's usi and si; si is None whenever usi is."""
+    usi_value = usi(tally.supporting, tally.contrasting)
     if usi_value is None:
         return None, None
-    return usi_value, si(references, usi_value, si_config)
-
-
-class _Memo(dict):
-    """``function`` of each value, called once per distinct value.  0.0 and
-    -0.0 are one key with two texts, so a falsy value is not kept."""
-
-    def __init__(self, function: Callable[[Any], Any]):
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, value: Any) -> Any:
-        result = self.function(value)
-        if value:
-            self[value] = result
-        return result
+    return usi_value, si(tally.references, usi_value, si_config)
 
 
 def require_plain_store(store: Store, command: str) -> None:
@@ -172,43 +149,31 @@ def rank_entities(
     ascending (then field label, for per-field stores).
     """
     report = ExclusionReport()
-    kind, by_usi = spec.kind, spec.metric == "usi"
-    min_valenced, min_references, top_k = spec.min_valenced, spec.min_references, spec.top_k
-    # each distinct tally scored once, in store order, so the first whose si
-    # is not finite raises, as it would were every tally scored
-    scores = _Memo(lambda counts: _scores(counts, spec.si_config))
-    # (-metric, id, field, store position, key, tally, usi, si): the position
-    # makes every entry distinct, so the sort compares nothing past it and
-    # keeps store order among exact ties
-    scored: list[tuple] = []
+    scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
     for key, tally in store.tallies.items():
-        if kind is not None and key.kind != kind:
-            raise ConfigError(f"spec expects kind {kind!r} but store holds {key.kind!r}")
-        counts = _score_counts(tally)
-        supporting, contrasting, references = counts
-        if supporting + contrasting < min_valenced:
+        if spec.kind is not None and key.kind != spec.kind:
+            raise ConfigError(f"spec expects kind {spec.kind!r} but store holds {key.kind!r}")
+        if tally.valenced < spec.min_valenced:
             report.below_min_valenced += 1
             continue
-        if references < min_references:
+        if tally.references < spec.min_references:
             report.below_min_references += 1
             continue
-        usi_value, si_value = scores[counts]
-        metric_value = usi_value if by_usi else si_value
+        usi_value, si_value = _scores(tally, spec.si_config)
+        metric_value = usi_value if spec.metric == "usi" else si_value
         if metric_value is None:
             report.undefined_metric += 1
             continue
-        scored.append((-metric_value, key.id, key.field or "", len(scored), key, tally,
-                       usi_value, si_value))
+        scored.append((metric_value, key, tally, usi_value, si_value))
 
-    if top_k is not None and len(scored) > top_k:
-        report.beyond_top_k = len(scored) - top_k
-        scored = heapq.nsmallest(top_k, scored)
-    else:
-        scored.sort()
+    scored.sort(key=lambda item: (-item[0], item[1].id, item[1].field or ""))
+    if spec.top_k is not None and len(scored) > spec.top_k:
+        report.beyond_top_k = len(scored) - spec.top_k
+        scored = scored[: spec.top_k]
 
     rows = [
-        _new(RankedRow, (position, key, tally, usi_value, si_value))
-        for position, (_, _, _, _, key, tally, usi_value, si_value) in enumerate(scored, start=1)
+        RankedRow(position, key, tally, usi_value, si_value)
+        for position, (_, key, tally, usi_value, si_value) in enumerate(scored, start=1)
     ]
     return rows, report
 
@@ -231,11 +196,8 @@ def field_breakdown(
         raise ConfigError("fields needs a per-field institution store")
     rows, report = rank_entities(store, RankSpec(si_config=si_config))
     # stable, so each field keeps the ranking's (si descending, id) order
-    rows.sort(key=_entity_field)
+    rows.sort(key=lambda row: row.entity.field)
     return rows, report
-
-
-_entity_field = attrgetter("entity.field")
 
 
 @dataclass(slots=True)
@@ -265,28 +227,23 @@ def correlate(
     if metric not in METRICS:
         raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
     require_plain_store(store, "correlate")
-    tallies = store.tallies
-    # each distinct tally scored once, in store order, as rank_entities does
-    scores = _Memo(lambda counts: _scores(counts, si_config))
-    values = map(itemgetter(0 if metric == "usi" else 1),
-                 map(scores.__getitem__, map(_score_counts, tallies.values())))
-    # (-value, id, external value): equal ids hold equal external values, so
-    # the sort orders the points as sorting by (-value, id) alone would
     matched: list[tuple[float, str, float]] = []
     defined = 0
     # not through rank_entities, which would sort and build a row for every
     # scored entity, where correlate needs to sort only the matched points
-    for key, value in zip(tallies, values):
+    for key, tally in store.tallies.items():
+        usi_value, si_value = _scores(tally, si_config)
+        value = usi_value if metric == "usi" else si_value
         if value is None:
             continue
         defined += 1
         outside = external.get(key.id)
         if outside is not None:
-            matched.append((-value, key.id, float(outside)))
+            matched.append((value, key.id, float(outside)))
     # summed in ranking order, so r's last bits never follow the store's row order
-    matched.sort()
+    matched.sort(key=lambda item: (-item[0], item[1]))
     return CorrelationResult(
-        r=pearson([(-negated, outside) for negated, _, outside in matched]),
+        r=pearson([(value, outside) for value, _, outside in matched]),
         matched=len(matched),
         unmatched_rows=defined - len(matched),
         unmatched_external=len(external) - len(matched),
@@ -315,10 +272,25 @@ def correlate(
 _CHUNK_ROWS = 128
 
 
+class _Shown(dict):
+    """The display string of each exact value in one format's text,
+    rounded once."""
+
+    def __init__(self, text: Callable[[str], str]):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, value: float | None) -> str:
+        shown = self.text(round_display(value))
+        if value:  # 0.0 and -0.0 are one key, shown "0.00" and "-0.00"
+            self[value] = shown
+        return shown
+
+
 class _Table(NamedTuple):
     columns: tuple[str, ...]
-    # (rows, text of a str, text of an exact value or None, display text of
-    # one) -> the rows' cells
+    # (rows, text of a str, ``or_null(value, value)``: the value or the
+    # format's text of None, display text of an exact value) -> the rows' cells
     cells: Callable[..., Iterable[tuple]]
     md_columns: tuple[tuple[str, str], ...]  # (title, alignment)
     # (row, display string of an exact value) -> markdown cells
@@ -360,13 +332,12 @@ def _write_table(table: _Table, rows: Sequence, fmt: str, out: IO[str]) -> None:
     out.write(header)
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        # a chunk's own texts of each exact value: a table's would grow with the table
-        shown = _Memo(lambda value: text(round_display(value))).__getitem__
+        # a chunk's own display strings: a table's would grow with the table
+        shown = _Shown(text).__getitem__
         if fmt == "md":
             cells = [table.md_cells(row, shown) for row in chunk]
         else:
-            exact = _Memo(lambda value: null if value is None else repr(value)).__getitem__
-            cells = table.cells(chunk, text, exact, shown)
+            cells = table.cells(chunk, text, {None: null}.get, shown)
         out.write((between if start else "") + between.join(map(template.__mod__, cells)))
     if fmt == "json":
         out.write("\n]\n")
@@ -379,7 +350,7 @@ def _md_escape(text: str) -> str:
     return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 
-def _rank_cells(rows: Sequence[RankedRow], text: Callable[[str], str], exact: Callable,
+def _rank_cells(rows: Sequence[RankedRow], text: Callable[[str], str], or_null: Callable,
                 shown: Callable) -> Iterable[tuple]:
     ranks, entities, tallies, usis, sis = zip(*rows)
     kinds, ids, _ = zip(*entities)
@@ -387,15 +358,15 @@ def _rank_cells(rows: Sequence[RankedRow], text: Callable[[str], str], exact: Ca
         map(text, kinds),
         map(text, ids),
         *zip(*map(_tally_counts, tallies)),
-        map(exact, usis),
-        map(exact, sis),
+        map(or_null, usis, usis),
+        map(or_null, sis, sis),
         map(shown, usis),
         map(shown, sis),
         ranks,
     )
 
 
-def _breakdown_cells(rows: Sequence[RankedRow], text: Callable[[str], str], exact: Callable,
+def _breakdown_cells(rows: Sequence[RankedRow], text: Callable[[str], str], or_null: Callable,
                      shown: Callable) -> Iterable[tuple]:
     _, entities, tallies, usis, sis = zip(*rows)
     _, institutions, labels = zip(*entities)
@@ -403,8 +374,8 @@ def _breakdown_cells(rows: Sequence[RankedRow], text: Callable[[str], str], exac
         map(text, institutions),
         map(text, labels),
         *zip(*map(_tally_counts, tallies)),
-        map(exact, usis),
-        map(exact, sis),
+        map(or_null, usis, usis),
+        map(or_null, sis, sis),
     )
 
 
