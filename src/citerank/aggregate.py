@@ -257,8 +257,8 @@ def dump_store(store: Store) -> str:
 
 
 # A row in the layout ``dump_store`` writes, read as ``ingest.stream`` reads
-# the input streams: a counter is at most 18 digits, so int() reads it as
-# the JSON decoder would, and a longer one goes to the per-line parser.
+# the input streams.  A counter of 19 or more digits goes to the per-line
+# parser, so a huge one meets the JSON decoder and its message.
 _STORE_LINE = _line_pattern(
     _FIELD_ROW_KEYS,
     ('"(' + "|".join(map(re.escape, ENTITY_KINDS)) + ')"', _STRING, _STRING,
@@ -336,7 +336,7 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
                 if row["kind"] == DIAGNOSTICS_KIND:
                     diagnostics = _load_diagnostics(row)
                     continue
-                if row["kind"] != kind:
+                if kind is None or row["kind"] != kind:
                     kind = _store_kind(kind, row["kind"])
                 entity_id = row.get("id")
                 if type(entity_id) is not str or not entity_id:

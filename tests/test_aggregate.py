@@ -785,6 +785,8 @@ class TestLoadStoreMatchesOracle:
                 '"references":9}\r\n{"kind":"diagnostics","events_seen":4}\r\n',
                 id="crlf",
             ),
+            # a null kind on the first row, before the store has a kind to compare
+            pytest.param('{"kind":null,"id":"J1"}\n{"kind":"diagnostics"}\n', id="null-kind"),
             pytest.param(
                 '{"kind":"journal","id":"J1","field":"Maths","supporting":1,"mentioning":0,'
                 '"contrasting":0,"references":0}\n'

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citerank import rank
 from citerank.aggregate import Store, Window, build_store, dump_store, load_store
 from citerank.errors import ConfigError, DataError, ParseError
 from citerank.linking import ENTITY_KINDS, EntityKey, build_link_tables
@@ -726,6 +727,30 @@ def model_cells(rows):
     ]
 
 
+# tables around the rows per write, whose exact values repeat within and
+# across chunks: 0.0 and -0.0 (equal keys, two texts), ties at two decimals
+# (0.125, 2.675), and the same value in both score columns
+CHUNK_SIZES = [0, 1, rank._CHUNK_ROWS - 1, rank._CHUNK_ROWS, rank._CHUNK_ROWS + 1]
+POOLED_USI = [0.0, 0.125, 1 / 3, 0.5, 1.0]
+POOLED_SI = [-0.0, 0.0, 0.125, 2.675, -1.005, 1 / 3, 1e300]
+
+
+def pooled_rows(size, with_undefined_si):
+    rng = random.Random(size)
+    si_pool = POOLED_SI + [None] * with_undefined_si
+    return [
+        RankedRow(
+            n + 1,
+            EntityKey("institution", EXPORT_SAMPLES[n % len(EXPORT_SAMPLES)] + str(n),
+                      rng.choice(["Maths", "Phys,ics"])),
+            EntityTally(*(rng.choice([0, 1, 7, 10**20]) for _ in range(4))),
+            rng.choice(POOLED_USI),
+            rng.choice(si_pool),
+        )
+        for n in range(size)
+    ]
+
+
 class TestJsonExportMatchesDumps:
     @settings(deadline=None)
     @given(ranked_rows)
@@ -742,8 +767,23 @@ class TestJsonExportMatchesDumps:
         assert export_rows([], "json") == "[]\n"
         assert export_breakdown([], "json") == "[]\n"
 
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    def test_chunk_boundaries(self, size):
+        rows = pooled_rows(size, with_undefined_si=True)
+        assert export_rows(rows, "json") == reference.rank_table(model_rows(rows), "json")
+        cells = pooled_rows(size, with_undefined_si=False)
+        assert export_breakdown(cells, "json") == reference.breakdown_table(model_cells(cells), "json")
+
 
 class TestCsvAndMarkdownExportsMatchOracles:
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    def test_chunk_boundaries(self, size, fmt):
+        rows = pooled_rows(size, with_undefined_si=True)
+        assert export_rows(rows, fmt) == reference.rank_table(model_rows(rows), fmt)
+        cells = pooled_rows(size, with_undefined_si=False)
+        assert export_breakdown(cells, fmt) == reference.breakdown_table(model_cells(cells), fmt)
+
     @settings(deadline=None)
     @given(ranked_rows)
     def test_rows(self, rows):
@@ -845,19 +885,22 @@ class _Discard:
 
 
 class TestWritingAllocatesPerRow:
-    """The memory a table costs to write follows one row, not the table."""
+    """The memory a table costs to write follows one chunk of rows, not the
+    table: the bound is the same for 5,000 rows and for 20,000, whose json
+    text is over 5 MB."""
 
-    def ranking(self):
+    def ranking(self, size):
         store = journal_store(
-            {f"Journal {i:05d}": (i % 97 + 1, i % 13, i % 7 + 1, 50 + i) for i in range(5000)}
+            {f"Journal {i:05d}": (i % 97 + 1, i % 13, i % 7 + 1, 50 + i) for i in range(size)}
         )
         return rank_entities(store, RankSpec())[0]
 
+    @pytest.mark.parametrize("size", [5000, 20000])
     @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
-    def test_traced_peak_is_bounded(self, fmt):
-        rows = self.ranking()
-        assert len(rows) == 5000
-        assert len(export_rows(rows, "json")) > 1_000_000
+    def test_traced_peak_is_bounded(self, fmt, size):
+        rows = self.ranking(size)
+        assert len(rows) == size
+        assert len(export_rows(rows, "json")) > 200 * size
         tracemalloc.start()
         try:
             write_rows(rows, fmt, _Discard())
