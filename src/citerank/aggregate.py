@@ -10,11 +10,11 @@ reference file twice does not double anyone's volume.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from ._record import Checked, Record
 from .errors import ConfigError, DataError, ParseError
 from .ingest import STANCE_CLASSES, ReferenceEvent, StatementRecord, _decode_line
 from .ingest import _CANONICAL_READERS, _STRING, _has_lone_surrogate, _json_keys, _json_members
@@ -40,22 +40,24 @@ _tally_counts = attrgetter(*_COUNTERS)
 _STANCE_SLOT = {stance: _COUNTERS.index(stance) for stance in STANCE_CLASSES}
 
 
-@dataclass(frozen=True, slots=True)
-class Window:
-    """Inclusive range of citing-publication years."""
-
+class _WindowFields(NamedTuple):
     from_year: int
     to_year: int
 
-    def __post_init__(self) -> None:
+
+class Window(Checked, _WindowFields):
+    """Inclusive range of citing-publication years, a named tuple."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.from_year > self.to_year:
             raise ConfigError(
                 f"window is empty: from_year {self.from_year} > to_year {self.to_year}"
             )
 
 
-@dataclass(slots=True)
-class Diagnostics:
+class Diagnostics(Record):
     """Per-stream accounting of what happened to every input record.
 
     Every record lands in exactly one bucket: for statements,
@@ -64,36 +66,61 @@ class Diagnostics:
     did we lose" answerable without rerunning anything.
     """
 
-    statements_seen: int = 0
-    statements_counted: int = 0
-    statements_out_of_window: int = 0
-    statements_unresolved: int = 0
-    events_seen: int = 0
-    events_counted: int = 0
-    events_out_of_window: int = 0
-    events_unresolved: int = 0
-    events_duplicate: int = 0
+    __slots__ = _fields = (
+        "statements_seen", "statements_counted", "statements_out_of_window",
+        "statements_unresolved", "events_seen", "events_counted", "events_out_of_window",
+        "events_unresolved", "events_duplicate",
+    )
+
+    def __init__(
+        self,
+        statements_seen: int = 0,
+        statements_counted: int = 0,
+        statements_out_of_window: int = 0,
+        statements_unresolved: int = 0,
+        events_seen: int = 0,
+        events_counted: int = 0,
+        events_out_of_window: int = 0,
+        events_unresolved: int = 0,
+        events_duplicate: int = 0,
+    ) -> None:
+        self.statements_seen = statements_seen
+        self.statements_counted = statements_counted
+        self.statements_out_of_window = statements_out_of_window
+        self.statements_unresolved = statements_unresolved
+        self.events_seen = events_seen
+        self.events_counted = events_counted
+        self.events_out_of_window = events_out_of_window
+        self.events_unresolved = events_unresolved
+        self.events_duplicate = events_duplicate
 
     def as_dict(self) -> dict:
-        out = {spec.name: getattr(self, spec.name) for spec in fields(Diagnostics)}
+        out = self._asdict()
         out["out_of_window"] = self.statements_out_of_window + self.events_out_of_window
         out["unresolved"] = self.statements_unresolved + self.events_unresolved
         return out
 
 
-@dataclass(slots=True)
-class Store:
+class Store(Record):
     """Per-entity tallies, plus the diagnostics of the fold that produced
     them.
 
     ``build_store`` folds input streams into one and ``load_store`` reads
     one back.  The entity kind, and whether the store is per-field, are
     read from the keys, which share both; a store with no rows has
-    neither, so every reader accepts it.
+    neither, so every reader accepts it.  Left out, ``tallies`` and
+    ``diagnostics`` start empty.
     """
 
-    tallies: dict[EntityKey, EntityTally] = field(default_factory=dict)
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    __slots__ = _fields = ("tallies", "diagnostics")
+
+    def __init__(
+        self,
+        tallies: dict[EntityKey, EntityTally] | None = None,
+        diagnostics: Diagnostics | None = None,
+    ) -> None:
+        self.tallies = {} if tallies is None else tallies
+        self.diagnostics = Diagnostics() if diagnostics is None else diagnostics
 
 
 def build_store(
@@ -413,11 +440,9 @@ def _counter_error(row: dict) -> ParseError:
 
 def _load_diagnostics(row: dict) -> Diagnostics:
     diag = Diagnostics()
-    for spec in fields(Diagnostics):
-        value = row.get(spec.name, 0)
+    for name in Diagnostics._fields:
+        value = row.get(name, 0)
         if type(value) is not int or value < 0:
-            raise ParseError(
-                f"diagnostics {spec.name!r} must be a nonnegative integer, got {value!r}"
-            )
-        setattr(diag, spec.name, value)
+            raise ParseError(f"diagnostics {name!r} must be a nonnegative integer, got {value!r}")
+        setattr(diag, name, value)
     return diag

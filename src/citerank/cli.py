@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: aggregate, rank, fields, correlate, validate.  Tables and
-reports go to stdout (or --out); diagnostics go to stderr as one JSON
-record per line so they survive piping the table somewhere else.
+reports go to stdout (or --out), in UTF-8 either way; diagnostics go to
+stderr as one JSON record per line so they survive piping the table
+somewhere else.
 
 Option values resolve in precedence order: explicit flag, then config file
 (--config or the CITERANK_CONFIG environment variable), then built-in
@@ -25,7 +26,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from typing import IO, Callable, Iterator, Sequence
 
 from .aggregate import (
@@ -315,7 +315,7 @@ def cmd_aggregate(opts: argparse.Namespace) -> int:
 
     if opts.mode == "lenient":
         for path, report in reports:
-            _diag({"event": "ingest", "file": path, **asdict(report)})
+            _diag({"event": "ingest", "file": path, **report._asdict()})
     _diag(link_event)
     _diag({"event": "aggregate", **store.diagnostics.as_dict()})
     _diag_consistency(store)
@@ -336,7 +336,7 @@ def cmd_rank(opts: argparse.Namespace) -> int:
     rows, report = rank_entities(store, spec)
     with _output(opts.out) as out:
         write_rows(rows, opts.format, out)
-    _diag({"event": "exclusions", **asdict(report)})
+    _diag({"event": "exclusions", **report._asdict()})
     _diag_consistency(store)
     return EXIT_OK
 
@@ -356,7 +356,7 @@ def cmd_correlate(opts: argparse.Namespace) -> int:
     scores = _read_scores(opts.scores)
     result = correlate(store, scores, opts.by, _si_config(opts))
     with _output(opts.out) as out:
-        out.write(json.dumps(asdict(result), ensure_ascii=False) + "\n")
+        out.write(json.dumps(result._asdict(), ensure_ascii=False) + "\n")
     return EXIT_OK
 
 
@@ -370,7 +370,7 @@ def cmd_validate(opts: argparse.Namespace) -> int:
         path = getattr(opts, name)
         report = SkipReport()
         records = sum(1 for _ in stream(path, INPUTS[name], mode="lenient", report=report))
-        row = {"file": path, "records": records, **asdict(report)}
+        row = {"file": path, "records": records, **report._asdict()}
         print(json.dumps(row, ensure_ascii=False))
         defects += report.skipped
     return EXIT_OK if defects == 0 else EXIT_DATA
@@ -457,6 +457,9 @@ def entrypoint() -> None:
     # what import made lives as long as the process: leave it out of every
     # collection, which then scans only what the command builds
     gc.freeze()
+    # stdout writes the bytes --out would, whatever the locale or
+    # PYTHONIOENCODING says
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

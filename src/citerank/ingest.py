@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
-from datetime import date
+import time
 from json.encoder import encode_basestring as _quote
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
+from ._record import Record
 from .errors import ConfigError, ParseError
 
 __all__ = [
@@ -59,7 +59,7 @@ MIN_YEAR = 1400
 
 # Fixed once when the process starts, so one run checks every line against
 # the same bound.
-_MAX_YEAR = date.today().year + 1
+_MAX_YEAR = time.localtime().tm_year + 1
 
 
 # Records are named tuples: cheap to build once per line, immutable, and
@@ -410,12 +410,14 @@ _CANONICAL_READERS: dict[Callable, Callable[[str, int], list]] = {
 _BLOCK_BYTES = 2048
 
 
-@dataclass(slots=True)
-class SkipReport:
+class SkipReport(Record):
     """Tally of lines skipped in lenient mode."""
 
-    skipped: int = 0
-    first_bad_line: int | None = None
+    __slots__ = _fields = ("skipped", "first_bad_line")
+
+    def __init__(self, skipped: int = 0, first_bad_line: int | None = None) -> None:
+        self.skipped = skipped
+        self.first_bad_line = first_bad_line
 
     def record_skip(self, line_no: int) -> None:
         self.skipped += 1

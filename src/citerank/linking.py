@@ -8,9 +8,9 @@ publication can credit a set of entities rather than a single one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .errors import ConfigError
 from .ingest import AffiliationRecord, PublicationRecord
 
@@ -33,8 +33,7 @@ class EntityKey(NamedTuple):
     field: str | None = None
 
 
-@dataclass(slots=True)
-class LinkTables:
+class LinkTables(Record):
     """Publication-to-entity lookup tables plus overwrite diagnostics.
 
     Duplicate ids are resolved last-writer-wins, and the overwrite counters
@@ -48,13 +47,28 @@ class LinkTables:
     ``kind`` None every map is filled, for any store.
     """
 
-    pub_to_journal: dict[str, str]
-    pub_to_field: dict[str, str]
-    pub_to_institutions: dict[str, frozenset[str]]
-    publication_overwrites: int = 0
-    affiliation_overwrites: int = 0
-    kind: str | None = None
-    by_field: bool = False
+    __slots__ = _fields = (
+        "pub_to_journal", "pub_to_field", "pub_to_institutions", "publication_overwrites",
+        "affiliation_overwrites", "kind", "by_field",
+    )
+
+    def __init__(
+        self,
+        pub_to_journal: dict[str, str],
+        pub_to_field: dict[str, str],
+        pub_to_institutions: dict[str, frozenset[str]],
+        publication_overwrites: int = 0,
+        affiliation_overwrites: int = 0,
+        kind: str | None = None,
+        by_field: bool = False,
+    ) -> None:
+        self.pub_to_journal = pub_to_journal
+        self.pub_to_field = pub_to_field
+        self.pub_to_institutions = pub_to_institutions
+        self.publication_overwrites = publication_overwrites
+        self.affiliation_overwrites = affiliation_overwrites
+        self.kind = kind
+        self.by_field = by_field
 
 
 def build_link_tables(

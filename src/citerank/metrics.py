@@ -23,9 +23,9 @@ correlation used to compare rankings against external scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from ._record import Checked, Record
 from .errors import DataError
 
 __all__ = [
@@ -40,19 +40,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SiConfig:
-    """Tunables of the impact-weighted score.
+class _SiConfigFields(NamedTuple):
+    exponent: float = 2.0
+    log_base: float = 10.0
+
+
+class SiConfig(Checked, _SiConfigFields):
+    """Tunables of the impact-weighted score, a named tuple.
 
     ``exponent`` controls how hard stance quality discounts volume; raising
     it punishes contested work more.  ``log_base`` sets the scale of the
     score.  Both are validated here so every consumer can trust them.
     """
 
-    exponent: float = 2.0
-    log_base: float = 10.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.exponent < math.inf:
             raise ValueError(f"exponent must be finite and > 0, got {self.exponent!r}")
         if not 1 < self.log_base < math.inf:
@@ -62,17 +65,20 @@ class SiConfig:
 DEFAULT_SI_CONFIG = SiConfig()
 
 
-@dataclass(slots=True)
-class EntityTally:
+class EntityTally(Record):
     """Stance and reference counters for one entity."""
 
-    supporting: int = 0
-    mentioning: int = 0
-    contrasting: int = 0
-    references: int = 0
+    __slots__ = _fields = ("supporting", "mentioning", "contrasting", "references")
 
-    def __post_init__(self) -> None:
-        if min(self.supporting, self.mentioning, self.contrasting, self.references) < 0:
+    def __init__(
+        self, supporting: int = 0, mentioning: int = 0, contrasting: int = 0, references: int = 0
+    ) -> None:
+        self.supporting = supporting
+        self.mentioning = mentioning
+        self.contrasting = contrasting
+        self.references = references
+        # one comparison chain, not min(): a tally is built per store row
+        if supporting < 0 or mentioning < 0 or contrasting < 0 or references < 0:
             raise ValueError(f"counters must be >= 0, got {self!r}")
 
     @property

@@ -10,12 +10,10 @@ or in exactly one bucket of the exclusion report.
 from __future__ import annotations
 
 import io
-import sys
-from dataclasses import dataclass, fields
-from decimal import ROUND_HALF_UP, Context, Decimal
 from json.encoder import encode_basestring as _quote
 from typing import IO, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from ._record import Checked, Record
 from .aggregate import Store, _tally_counts
 from .errors import ConfigError
 from .linking import EntityKey
@@ -41,10 +39,7 @@ METRICS = ("si", "usi")
 FORMATS = ("csv", "json", "md")
 
 
-@dataclass(frozen=True, slots=True)
-class RankSpec:
-    """What to rank and what to filter out before ranking."""
-
+class _RankSpecFields(NamedTuple):
     metric: str = "si"
     kind: str | None = None
     min_valenced: int = 0
@@ -52,7 +47,13 @@ class RankSpec:
     top_k: int | None = None
     si_config: SiConfig = DEFAULT_SI_CONFIG
 
-    def __post_init__(self) -> None:
+
+class RankSpec(Checked, _RankSpecFields):
+    """What to rank and what to filter out before ranking, a named tuple."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.min_valenced < 0 or self.min_references < 0:
@@ -84,42 +85,66 @@ class RankedRow(NamedTuple):
         return round_display(self.si_exact)
 
 
-@dataclass(slots=True)
-class ExclusionReport:
+class ExclusionReport(Record):
     """Why entities in the store are absent from the emitted rows.
 
     rows + every bucket here partitions the store exactly; an entity failing
     several filters lands in the first bucket that rejected it, in the order
-    the fields are declared.
+    of ``_fields``.
     """
 
-    below_min_valenced: int = 0
-    below_min_references: int = 0
-    undefined_metric: int = 0
-    beyond_top_k: int = 0
+    __slots__ = _fields = (
+        "below_min_valenced", "below_min_references", "undefined_metric", "beyond_top_k",
+    )
+
+    def __init__(
+        self,
+        below_min_valenced: int = 0,
+        below_min_references: int = 0,
+        undefined_metric: int = 0,
+        beyond_top_k: int = 0,
+    ) -> None:
+        self.below_min_valenced = below_min_valenced
+        self.below_min_references = below_min_references
+        self.undefined_metric = undefined_metric
+        self.beyond_top_k = beyond_top_k
 
     @property
     def total(self) -> int:
-        return sum(getattr(self, spec.name) for spec in fields(ExclusionReport))
-
-
-_CENT = Decimal("0.01")
-# enough digits to quantize the largest finite float to two decimals
-_DISPLAY_CONTEXT = Context(prec=sys.float_info.max_10_exp + 3)
+        return sum(self._asdict().values())
 
 
 def round_display(value: float | None) -> str:
-    """Two-decimal display string, ties rounding away from zero.
+    """Two-decimal display string of ``repr(value)``, ties rounding away
+    from zero; None (undefined score) displays as the empty string.
 
-    Via Decimal(repr(x)) so the decision happens on the shortest decimal
-    form of the float, not on binary artifacts several digits down.
-    None (undefined score) displays as the empty string.
+    The rounding is decided on the shortest decimal form of the float, not
+    on binary digits several places down: 2.675 shows as 2.68, though the
+    float is 2.67499999999999982236431605997495353221893310546875.
+    ``repr(value)`` is rounded as text where that is exact: with at most
+    two decimals it is padded, with exactly three and a final 5 it steps
+    one cent away from zero, and in exponent form (magnitude below 1e-4 or
+    from 1e16 up) its digits are shifted.  Any other value goes through
+    ``'%.2f'``, which rounds the float itself: the shortest form and the
+    float then lie on one side of every half cent, so both round alike.
     """
     if value is None:
         return ""
-    return str(
-        Decimal(repr(value)).quantize(_CENT, rounding=ROUND_HALF_UP, context=_DISPLAY_CONTEXT)
-    )
+    text = repr(value)
+    sign = "-" if text[0] == "-" else ""
+    if "e" in text:
+        mantissa, _, exponent = text.lstrip("-").partition("e")
+        if exponent[0] == "-":
+            return sign + "0.00"
+        digits = mantissa.replace(".", "")
+        return sign + digits.ljust(int(exponent) + 1, "0") + ".00"
+    whole, _, decimals = text.partition(".")
+    if len(decimals) <= 2:
+        return whole + "." + decimals.ljust(2, "0")
+    if len(decimals) == 3 and decimals[2] == "5":
+        cents = str(int(whole.lstrip("-") + decimals[:2]) + 1).rjust(3, "0")
+        return sign + cents[:-2] + "." + cents[-2:]
+    return "%.2f" % value
 
 
 def _scores(tally: EntityTally, si_config: SiConfig) -> tuple[float | None, float | None]:
@@ -150,17 +175,20 @@ def rank_entities(
     """
     report = ExclusionReport()
     scored: list[tuple[float, EntityKey, EntityTally, float, float | None]] = []
+    # read once: a named tuple's field costs a descriptor call per read
+    kind, min_valenced, min_references = spec.kind, spec.min_valenced, spec.min_references
+    si_config, by_usi = spec.si_config, spec.metric == "usi"
     for key, tally in store.tallies.items():
-        if spec.kind is not None and key.kind != spec.kind:
-            raise ConfigError(f"spec expects kind {spec.kind!r} but store holds {key.kind!r}")
-        if tally.valenced < spec.min_valenced:
+        if kind is not None and key.kind != kind:
+            raise ConfigError(f"spec expects kind {kind!r} but store holds {key.kind!r}")
+        if tally.valenced < min_valenced:
             report.below_min_valenced += 1
             continue
-        if tally.references < spec.min_references:
+        if tally.references < min_references:
             report.below_min_references += 1
             continue
-        usi_value, si_value = _scores(tally, spec.si_config)
-        metric_value = usi_value if spec.metric == "usi" else si_value
+        usi_value, si_value = _scores(tally, si_config)
+        metric_value = usi_value if by_usi else si_value
         if metric_value is None:
             report.undefined_metric += 1
             continue
@@ -200,14 +228,16 @@ def field_breakdown(
     return rows, report
 
 
-@dataclass(slots=True)
-class CorrelationResult:
+class CorrelationResult(Record):
     """Correlation of a store's scores against an external per-entity score."""
 
-    r: float
-    matched: int
-    unmatched_rows: int
-    unmatched_external: int
+    __slots__ = _fields = ("r", "matched", "unmatched_rows", "unmatched_external")
+
+    def __init__(self, r: float, matched: int, unmatched_rows: int, unmatched_external: int) -> None:
+        self.r = r
+        self.matched = matched
+        self.unmatched_rows = unmatched_rows
+        self.unmatched_external = unmatched_external
 
 
 def correlate(

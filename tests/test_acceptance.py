@@ -13,7 +13,6 @@ import io
 import math
 import random
 import time
-from dataclasses import astuple
 from pathlib import Path
 
 import mpmath
@@ -219,7 +218,7 @@ def test_criterion_4_aggregation_matches_naive_oracle(corpus):
     tables = build_link_tables(pubs, affils)
     for kind in ENTITY_KINDS:
         store = build_store(statements, references, tables, WINDOW, kind)
-        got = {key: astuple(tally) for key, tally in store.tallies.items()}
+        got = {key: tuple(tally._asdict().values()) for key, tally in store.tallies.items()}
         expected, _ = reference.fold(pubs, affils, statements, references, (2024, 2024), kind)
         assert got == expected, kind
     assert time.perf_counter() - start < 5.0

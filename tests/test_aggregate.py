@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 import tracemalloc
-from dataclasses import asdict, astuple, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -279,7 +278,10 @@ class TestUnknownStance:
 
 def as_model(store):
     """A store as the reference model holds it: (tallies, diagnostics)."""
-    return {key: astuple(tally) for key, tally in store.tallies.items()}, asdict(store.diagnostics)
+    return (
+        {key: tuple(tally._asdict().values()) for key, tally in store.tallies.items()},
+        store.diagnostics._asdict(),
+    )
 
 
 pub_ids = st.sampled_from(["W0", "W1", "W2", "W3", "W4"])
@@ -347,7 +349,7 @@ class TestMatchesNaiveWalk:
                 build_store(statements, events, tables, window, kind, by_field=by_field)
             return
         store = build_store(statements, events, tables, window, kind, by_field=by_field)
-        expected = reference.fold(pubs, affils, statements, events, astuple(window), kind, by_field)
+        expected = reference.fold(pubs, affils, statements, events, tuple(window), kind, by_field)
         assert as_model(store) == expected
 
 
@@ -379,7 +381,7 @@ class TestPairKeyMatchesTupleOracle:
     @given(split_events())
     def test_tallies_and_diagnostics(self, events):
         store = build_store([], events, build_link_tables(key_pubs, []), WINDOW, "journal")
-        expected = reference.fold(key_pubs, [], [], events, astuple(WINDOW), "journal")
+        expected = reference.fold(key_pubs, [], [], events, tuple(WINDOW), "journal")
         assert as_model(store) == expected
 
 
@@ -443,7 +445,7 @@ def any_stores(draw):
             max_size=6,
         )
     )
-    diagnostics = Diagnostics(*[draw(dump_counters) for _ in fields(Diagnostics)])
+    diagnostics = Diagnostics(*[draw(dump_counters) for _ in Diagnostics._fields])
     return Store(tallies, diagnostics)
 
 
@@ -625,14 +627,14 @@ def oracle_load_store(source, path="<store>"):
         if not isinstance(row, dict) or "kind" not in row:
             raise DataError(f"{path}:{line_no}: expected an object with a 'kind' key")
         if row["kind"] == "diagnostics":
-            for spec in fields(Diagnostics):
-                value = row.get(spec.name, 0)
+            for name in Diagnostics._fields:
+                value = row.get(name, 0)
                 if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                     raise DataError(
-                        f"{path}:{line_no}: diagnostics {spec.name!r} must be a "
+                        f"{path}:{line_no}: diagnostics {name!r} must be a "
                         f"nonnegative integer, got {value!r}"
                     )
-                setattr(store.diagnostics, spec.name, value)
+                setattr(store.diagnostics, name, value)
             saw_diagnostics = True
             continue
         kind = row.get("kind")
@@ -737,7 +739,7 @@ def entity_rows(draw, kind, by_field):
 
 @st.composite
 def diagnostics_rows(draw):
-    names = draw(st.lists(st.sampled_from([spec.name for spec in fields(Diagnostics)]), max_size=3))
+    names = draw(st.lists(st.sampled_from(Diagnostics._fields), max_size=3))
     parts = ['"kind": "diagnostics"'] + [f'"{name}": {draw(DIAGNOSTICS_VALUES)}' for name in names]
     return "{" + ", ".join(draw(st.permutations(parts))) + "}"
 

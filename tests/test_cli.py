@@ -887,6 +887,16 @@ class TestLoneSurrogates:
         assert "I\U0001f600" in out.read_text(encoding="utf-8")
 
 
+def run_child(args, cwd, **env):
+    """A fresh interpreter run with ``args``, this tree's ``citerank`` on the
+    path and ``env`` added to the environment."""
+    src = str(Path(citerank.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, timeout=120,
+    )
+
+
 class TestHashSeed:
     def test_same_bytes_under_any_hash_seed(self, corpus, tmp_path):
         # keys and institution sets are hashed; no set order may reach the output
@@ -906,17 +916,12 @@ class TestHashSeed:
             ["rank", "plain.jsonl", "--format", "json"],
             ["fields", "store.jsonl", "--format", "csv"],
         ]
-        src = str(Path(citerank.__file__).resolve().parent.parent)
         results = []
         for seed in ("0", "1"):
             cwd = tmp_path / f"seed{seed}"
             cwd.mkdir()
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
             runs = [
-                subprocess.run(
-                    [sys.executable, "-m", "citerank.cli", *args],
-                    cwd=cwd, env=env, capture_output=True, timeout=120,
-                )
+                run_child(["-m", "citerank.cli", *args], cwd, PYTHONHASHSEED=seed)
                 for args in commands
             ]
             assert [run.returncode for run in runs] == [0, 0, 0, 0], runs
@@ -924,6 +929,94 @@ class TestHashSeed:
             results.append(([(run.stdout, run.stderr) for run in runs], stores))
         assert results[0] == results[1]
         assert all(b"I8" in store for store in results[0][1])
+
+
+class TestStartup:
+    # each pulls in what a CLI child does not need; dataclasses alone brings
+    # inspect, ast, dis and tokenize
+    HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "decimal", "datetime")
+
+    def test_cli_import_leaves_heavy_modules_out(self, tmp_path):
+        # a deny-list: what site start-up imports differs between machines
+        code = "import sys, citerank.cli; print(*sorted(sys.modules))"
+        run = run_child(["-c", code], tmp_path)
+        assert run.returncode == 0, run.stderr
+        loaded = set(run.stdout.decode().split())
+        assert "citerank.rank" in loaded
+        assert loaded.isdisjoint(self.HEAVY), loaded & set(self.HEAVY)
+
+
+class TestStdoutEncoding:
+    """Stdout holds the UTF-8 bytes ``--out`` holds, whatever encoding
+    PYTHONIOENCODING (or the locale) gives the interpreter's stdout."""
+
+    PUBS = [
+        '{"id": "W1", "journal_id": "Jé", "field": "Física"}',
+        '{"id": "W2", "journal_id": "J\u2713", "field": "Maths"}',
+    ]
+    AFFILS = ['{"pub_id": "W1", "institution_ids": ["Ié", "I\U0001f600"]}']
+    STATEMENTS = [
+        '{"citing_id": "C1", "cited_id": "W1", "citing_year": 2024, "class": "supporting"}',
+        '{"citing_id": "C2", "cited_id": "W2", "citing_year": 2024, "class": "contrasting"}',
+        '{"citing_id": "C3", "cited_id": "W2", "citing_year": 2024, "class": "supporting"}',
+    ]
+    REFERENCES = [
+        '{"citing_id": "C1", "cited_id": "W1", "citing_year": 2024}',
+        '{"citing_id": "C2", "cited_id": "W2", "citing_year": 2024}',
+    ]
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_stdout_bytes_equal_out_bytes(self, tmp_path, encoding):
+        data = tmp_path / "dätä"
+        data.mkdir()
+        inputs = {}
+        for name, lines in (
+            ("statements", self.STATEMENTS),
+            ("references", self.REFERENCES),
+            ("pubs", self.PUBS),
+            ("affiliations", self.AFFILS),
+        ):
+            inputs[name] = str(data / f"{name}.jsonl")
+            Path(inputs[name]).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        aggregate = ["aggregate"] + [
+            part for name, path in inputs.items() for part in (f"--{name}", path)
+        ]
+        commands = [
+            [*aggregate, "--entity", "journal"],
+            [*aggregate, "--entity", "institution", "--group-by-field"],
+            ["rank", "journal.jsonl", "--format", "md"],
+            ["rank", "journal.jsonl", "--format", "csv"],
+            ["rank", "journal.jsonl", "--format", "json"],
+            ["fields", "fields.jsonl", "--format", "md"],
+        ]
+        # the stores the readers read, written through --out
+        for args, out in zip(commands[:2], ("journal.jsonl", "fields.jsonl")):
+            assert run_child(["-m", "citerank.cli", *args, "--out", out], tmp_path).returncode == 0
+        for args in commands:
+            out = tmp_path / "out.txt"
+            to_file = run_child(
+                ["-m", "citerank.cli", *args, "--out", str(out)], tmp_path,
+                PYTHONIOENCODING=encoding,
+            )
+            to_stdout = run_child(
+                ["-m", "citerank.cli", *args], tmp_path, PYTHONIOENCODING=encoding
+            )
+            for run in (to_file, to_stdout):
+                assert run.returncode == 0, (args, run.stderr)
+                assert b"Traceback" not in run.stderr, (args, run.stderr)
+            expected = out.read_bytes()
+            assert "é".encode() in expected, args
+            assert to_stdout.stdout == expected, args
+
+        validate = ["validate", "--statements", inputs["statements"], "--pubs", inputs["pubs"]]
+        run = run_child(["-m", "citerank.cli", *validate], tmp_path, PYTHONIOENCODING=encoding)
+        assert run.returncode == 0, run.stderr
+        assert b"Traceback" not in run.stderr
+        in_process = io.StringIO()
+        with redirect_stdout(in_process):
+            assert main(validate) == 0
+        assert "dätä" in in_process.getvalue()
+        assert run.stdout == in_process.getvalue().encode("utf-8")
 
 
 # every option whose converter can reject a value, under each command using it

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import asdict
 from unittest import mock
 
 import pytest
@@ -229,7 +228,7 @@ class TestStream:
         assert len(records) == 2
         assert report.skipped == 3
         assert report.first_bad_line == 2
-        assert asdict(report) == {"skipped": 3, "first_bad_line": 2}
+        assert report._asdict() == {"skipped": 3, "first_bad_line": 2}
 
     def test_totality(self, tmp_path):
         # every line is either a record or a counted skip
@@ -254,7 +253,7 @@ class TestStream:
         report = SkipReport()
         records = list(stream(str(path), parse_statement, "lenient", report))
         assert records == [StatementRecord("C1", "W1", 2024, "supporting")] * 3
-        assert asdict(report) == {"skipped": 1, "first_bad_line": 4}
+        assert report._asdict() == {"skipped": 1, "first_bad_line": 4}
 
     def test_invalid_utf8_line_is_a_bad_line(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -262,7 +261,7 @@ class TestStream:
         report = SkipReport()
         records = list(stream(str(path), parse_statement, "lenient", report))
         assert len(records) == 2
-        assert asdict(report) == {"skipped": 1, "first_bad_line": 2}
+        assert report._asdict() == {"skipped": 1, "first_bad_line": 2}
         with pytest.raises(ParseError) as err:
             list(stream(str(path), parse_statement, mode="strict"))
         assert str(err.value).startswith(f"{path}:2: invalid UTF-8")
@@ -318,12 +317,12 @@ class TestStream:
 
 class TestSkipReportRecord:
     def test_empty_report(self):
-        assert asdict(SkipReport()) == {"skipped": 0, "first_bad_line": None}
+        assert SkipReport()._asdict() == {"skipped": 0, "first_bad_line": None}
 
     def test_json_serializable(self):
         report = SkipReport()
         report.record_skip(7)
-        assert json.loads(json.dumps(asdict(report))) == {
+        assert json.loads(json.dumps(report._asdict())) == {
             "skipped": 1,
             "first_bad_line": 7,
         }
@@ -522,8 +521,8 @@ def read_outcome(reader, path, parser, mode):
         for rec in reader(path, parser, mode, report):
             records.append((type(rec).__name__, tuple(type(v).__name__ for v in rec), rec))
     except ParseError as exc:
-        return records, str(exc), asdict(report)
-    return records, None, asdict(report)
+        return records, str(exc), report._asdict()
+    return records, None, report._asdict()
 
 
 # ids the dump layout holds as they are, including JSON's structural

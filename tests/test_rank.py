@@ -4,10 +4,9 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import asdict, astuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citerank import rank
@@ -72,6 +71,24 @@ class TestRoundDisplay:
     )
     def test_cases(self, value, expected):
         assert round_display(value) == expected
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.125)
+    @example(2.675)
+    @example(1.005)
+    @example(0.005)
+    @example(-0.005)
+    @example(9.995)
+    @example(99.995)
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.5e-05)
+    @example(1e16)
+    @example(1.2345678901234567e20)
+    @example(1.7976931348623157e308)
+    def test_matches_decimal_model(self, value):
+        assert round_display(value) == reference.display(value)
 
 
 class TestRankEntities:
@@ -201,6 +218,16 @@ class TestRankEntities:
             RankSpec(top_k=0)
         with pytest.raises(ConfigError):
             RankSpec(min_valenced=-1)
+
+    def test_replace_and_make_check_values(self):
+        # the checked named tuples check every new value, not only the constructor's
+        assert RankSpec()._replace(top_k=3).top_k == 3
+        with pytest.raises(ConfigError, match="top_k"):
+            RankSpec()._replace(top_k=0)
+        with pytest.raises(ConfigError, match="window is empty"):
+            Window(2024, 2024)._replace(from_year=2025)
+        with pytest.raises(ValueError, match="exponent"):
+            SiConfig._make((0.0, 10.0))
 
     def test_infinite_si_is_a_data_error(self):
         # log10(1/1000) * 1e308 leaves the float range: -inf, never a row
@@ -390,9 +417,9 @@ class TestCorrelateMatchesRankedOracle:
         store, external, metric, si_config = case
         tallies, _ = as_model(store)
         assert correlation_outcome(
-            lambda: asdict(correlate(store, external, metric, si_config))
+            lambda: correlate(store, external, metric, si_config)._asdict()
         ) == correlation_outcome(
-            lambda: reference.correlate(tallies, external, metric, *astuple(si_config))
+            lambda: reference.correlate(tallies, external, metric, *si_config)
         )
 
 
@@ -427,7 +454,7 @@ class TestRankMatchesReference:
 
         def ranked():
             rows, report = rank_entities(store, spec)
-            return model_rows(rows), asdict(report)
+            return model_rows(rows), report._asdict()
 
         assert breakdown_outcome(ranked) == breakdown_outcome(
             lambda: reference.rank(
@@ -512,7 +539,7 @@ class TestBreakdownMatchesReference:
             assert sorted(row.rank for row in rows) == list(range(1, len(rows) + 1))
             outcome = model_cells(rows), report.undefined_metric
         assert outcome == breakdown_outcome(
-            lambda: reference.breakdown(tallies, *astuple(si_config))
+            lambda: reference.breakdown(tallies, *si_config)
         )
 
 
@@ -713,7 +740,7 @@ breakdown_rows = st.lists(
 def model_rows(rows):
     """Ranked rows as the reference model's."""
     return [
-        reference.Ranked(row.rank, *row.entity[:2], *astuple(row.tally), row.usi_exact,
+        reference.Ranked(row.rank, *row.entity[:2], *row.tally._asdict().values(), row.usi_exact,
                          row.si_exact)
         for row in rows
     ]
@@ -722,7 +749,7 @@ def model_rows(rows):
 def model_cells(rows):
     """Breakdown rows as the reference model's."""
     return [
-        reference.Cell(*row.entity[1:], *astuple(row.tally), row.usi_exact, row.si_exact)
+        reference.Cell(*row.entity[1:], *row.tally._asdict().values(), row.usi_exact, row.si_exact)
         for row in rows
     ]
 

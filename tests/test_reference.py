@@ -11,7 +11,6 @@ import ast
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -100,7 +99,7 @@ def corpora(draw):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(GARBAGE)))
     values = st.integers(-3, 3) | st.floats(-10, 10)
     scores = {names.get(i, i): draw(values) for i in SCORED_IDS if draw(st.booleans())}
-    return pubs, affiliations, files, astuple(draw(random_windows)), scores
+    return pubs, affiliations, files, tuple(draw(random_windows)), scores
 
 
 # Always drawn: statements on both window bounds and in every class; the
