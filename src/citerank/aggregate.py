@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring as _quote
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from ._record import Checked, Record
 from .errors import ConfigError, DataError, ParseError
-from .ingest import STANCE_CLASSES, ReferenceEvent, StatementRecord, _decode_line
-from .ingest import _CANONICAL_READERS, _STRING, _has_lone_surrogate, _json_keys, _json_members
-from .ingest import _line_pattern, _new
+from .ingest import LAYOUT_STRING, STANCE_CLASSES, ReferenceEvent, StatementRecord, decode_line
+from .ingest import has_lone_surrogate, json_keys, json_members, line_pattern
 from .linking import ENTITY_KINDS, EntityKey, LinkTables
-from .metrics import EntityTally
+from .metrics import COUNTERS, EntityTally, tally_counts
 
 __all__ = [
     "Window",
@@ -34,10 +32,7 @@ __all__ = [
 
 DIAGNOSTICS_KIND = "diagnostics"
 
-# A tally's counters, in EntityTally's field order and a store row's key order
-_COUNTERS = (*STANCE_CLASSES, "references")
-_tally_counts = attrgetter(*_COUNTERS)
-_STANCE_SLOT = {stance: _COUNTERS.index(stance) for stance in STANCE_CLASSES}
+_STANCE_SLOT = {stance: COUNTERS.index(stance) for stance in STANCE_CLASSES}
 
 
 class _WindowFields(NamedTuple):
@@ -160,7 +155,7 @@ def build_store(
         linked = tables.pub_to_institutions
     else:
         linked = tables.pub_to_journal if kind == "journal" else labels
-    # group -> one count per _COUNTERS name; the link tables share equal
+    # group -> one count per COUNTERS name; the link tables share equal
     # values, so a group's key costs no new strings
     groups: dict[tuple[str | frozenset[str], str | None], list[int]] = {}
     credited: dict[str, list[int]] = {}
@@ -253,8 +248,8 @@ def count_statement_excess(store: Store) -> int:
 # lean on.  A row is what ``json.dumps`` writes with those separators and
 # ``ensure_ascii=False``.
 
-_ROW_KEYS = _json_keys(("kind", "id", *_COUNTERS))
-_FIELD_ROW_KEYS = _json_keys(("kind", "id", "field", *_COUNTERS))
+_ROW_KEYS = json_keys(("kind", "id", *COUNTERS))
+_FIELD_ROW_KEYS = json_keys(("kind", "id", "field", *COUNTERS))
 
 
 def _row_template(keys: tuple[str, ...]) -> str:
@@ -268,17 +263,17 @@ _FIELD_ROW = _row_template(_FIELD_ROW_KEYS)
 
 def dump_store(store: Store) -> str:
     lines = [
-        _ROW % (_quote(key.kind), _quote(key.id), *_tally_counts(tally))
+        _ROW % (_quote(key.kind), _quote(key.id), *tally_counts(tally))
         if key.field is None
-        else _FIELD_ROW % (*map(_quote, key), *_tally_counts(tally))
+        else _FIELD_ROW % (*map(_quote, key), *tally_counts(tally))
         for key, tally in sorted(
             store.tallies.items(),
             key=lambda item: (item[0].kind, item[0].id, item[0].field or ""),
         )
     ]
     diagnostics = store.diagnostics.as_dict()
-    keys = _json_keys(("kind", *diagnostics))
-    lines.append("{" + _json_members(keys, (DIAGNOSTICS_KIND, *diagnostics.values())) + "}\n")
+    keys = json_keys(("kind", *diagnostics))
+    lines.append("{" + json_members(keys, (DIAGNOSTICS_KIND, *diagnostics.values())) + "}\n")
     # rows carry their own "\n", so one join builds the text and nothing copies it
     return "".join(lines)
 
@@ -286,17 +281,17 @@ def dump_store(store: Store) -> str:
 # A row in the layout ``dump_store`` writes, read as ``ingest.stream`` reads
 # the input streams.  A counter of 19 or more digits goes to the per-line
 # parser, so a huge one meets the JSON decoder and its message.
-_STORE_LINE = _line_pattern(
+_STORE_LINE = line_pattern(
     _FIELD_ROW_KEYS,
-    ('"(' + "|".join(map(re.escape, ENTITY_KINDS)) + ')"', _STRING, _STRING,
-     *["(0|[1-9][0-9]{0,17})"] * len(_COUNTERS)),
+    ('"(' + "|".join(map(re.escape, ENTITY_KINDS)) + ')"', LAYOUT_STRING, LAYOUT_STRING,
+     *["(0|[1-9][0-9]{0,17})"] * len(COUNTERS)),
     range(2, 3),
 )
 
 
 def store_line(line: str) -> str:
     """The parser to give ``ingest.stream`` when ``load_store`` reads its
-    lines: it keeps each line as it is, and ``stream`` reads the lines in
+    lines: it keeps each line as it is.  Its ``scan`` reads the lines in
     the layout ``dump_store`` writes a block at a time, as (key, tally)
     rows."""
     return line
@@ -304,6 +299,7 @@ def store_line(line: str) -> str:
 
 # each row's key holds the one kind string, as a row the JSON decoder reads does
 _KINDS = {kind: kind for kind in ENTITY_KINDS}
+_new = tuple.__new__  # what NamedTuple._make calls, without the length check
 
 
 def _canonical_store_rows(text: str, count: int) -> list[tuple[EntityKey, EntityTally] | None]:
@@ -316,7 +312,7 @@ def _canonical_store_rows(text: str, count: int) -> list[tuple[EntityKey, Entity
     ]
 
 
-_CANONICAL_READERS[store_line] = _canonical_store_rows
+store_line.scan = _canonical_store_rows
 
 
 def load_store(source: Iterable[str], path: str = "<store>") -> Store:
@@ -335,8 +331,9 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
     checked against its parts.
 
     ``source`` yields the lines.  ``stream(path, store_line)`` yields the
-    lines of a file, but a line in the layout ``dump_store`` writes as its
-    (key, tally) row, so only the checks across rows are left for it.
+    lines of a file, but ``store_line.scan`` gives a line in the layout
+    ``dump_store`` writes as its (key, tally) row, so only the checks across
+    rows are left for it.
     """
     tallies: dict[EntityKey, EntityTally] = {}
     add = tallies.setdefault
@@ -357,7 +354,7 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
                     continue
                 if diagnostics is not None:
                     raise ParseError("rows after the diagnostics record")
-                row = _decode_line(line)
+                row = decode_line(line)
                 if not isinstance(row, dict) or "kind" not in row:
                     raise ParseError("expected an object with a 'kind' key")
                 if row["kind"] == DIAGNOSTICS_KIND:
@@ -371,9 +368,9 @@ def load_store(source: Iterable[str], path: str = "<store>") -> Store:
                 label = row.get("field")
                 if label is not None and (type(label) is not str or not label):
                     raise ParseError("'field' must be a nonempty string")
-                if _has_lone_surrogate(entity_id):
+                if has_lone_surrogate(entity_id):
                     raise ParseError("'id' holds a lone surrogate")
-                if label is not None and _has_lone_surrogate(label):
+                if label is not None and has_lone_surrogate(label):
                     raise ParseError("'field' holds a lone surrogate")
                 if (label is not None) is not per_field:
                     per_field = _store_grouping(per_field, kind, label)
@@ -431,7 +428,7 @@ def _store_grouping(per_field: bool | None, kind: str, label: str | None) -> boo
 def _counter_error(row: dict) -> ParseError:
     """The message for the first counter of an entity row that is not a
     nonnegative integer."""
-    for name in _COUNTERS:
+    for name in COUNTERS:
         value = row.get(name)
         if type(value) is not int or value < 0:
             return ParseError(f"{name!r} must be a nonnegative integer, got {value!r}")

@@ -457,9 +457,10 @@ def entrypoint() -> None:
     # what import made lives as long as the process: leave it out of every
     # collection, which then scans only what the command builds
     gc.freeze()
-    # stdout writes the bytes --out would, whatever the locale or
-    # PYTHONIOENCODING says
-    sys.stdout.reconfigure(encoding="utf-8")
+    # UTF-8 whatever the locale says: stdout holds the bytes --out would, and
+    # a log line stays JSON, with any path byte not UTF-8 as a \udcXX escape
+    for out in (sys.stdout, sys.stderr):
+        out.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(main())
 
 

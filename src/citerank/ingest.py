@@ -16,8 +16,10 @@ One JSON object per line.  The four input streams are:
 
 Reading is streaming: ``stream`` consumes a file in blocks of about
 2 KiB of whole lines and never holds more than one block and its records,
-so memory use is independent of file size.  Unknown keys are ignored for
-forward compatibility; missing or mistyped required keys are parse errors.
+so memory use is independent of file size.  A parser's optional ``scan``
+attribute is what reads a block at a time, in the layout its ``dump_*``
+writer uses.  Unknown keys are ignored for forward compatibility; missing
+or mistyped required keys are parse errors.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import math
 import re
 import time
+from itertools import repeat
 from json.encoder import encode_basestring as _quote
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -109,7 +112,7 @@ _scan_once = json.JSONDecoder().scan_once
 _LINE_ENDS = ("", "\n", "\r\n")
 
 
-def _decode_line(line: str) -> object:
+def decode_line(line: str) -> object:
     """The JSON value of one line, as ``json.loads`` reads it.
 
     Every defect raises ParseError without a location; only ``stream`` and
@@ -134,12 +137,12 @@ def _decode_line(line: str) -> object:
         raise ParseError("invalid JSON: nested too deeply") from exc
 
 
-def _json_keys(names: Iterable[str], colon: str = ":") -> tuple[str, ...]:
+def json_keys(names: Iterable[str], colon: str = ":") -> tuple[str, ...]:
     """Each name quoted and followed by ``colon``, once per table, not per row."""
     return tuple(_quote(name) + colon for name in names)
 
 
-def _json_members(keys: tuple[str, ...], values: Iterable, comma: str = ",") -> str:
+def json_members(keys: tuple[str, ...], values: Iterable, comma: str = ",") -> str:
     """The members of a flat JSON object of str, int, finite float and None
     values, as ``json.dumps(..., ensure_ascii=False)`` writes them with the
     same separators.  Store rows, json table rows and the ``dump_*`` lines
@@ -152,7 +155,7 @@ def _json_members(keys: tuple[str, ...], values: Iterable, comma: str = ",") -> 
 
 
 def _load_object(line: str) -> dict:
-    obj = _decode_line(line)
+    obj = decode_line(line)
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -175,7 +178,7 @@ def _str_error(obj: dict, key: str) -> ParseError:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _has_lone_surrogate(text: str) -> bool:
+def has_lone_surrogate(text: str) -> bool:
     """Whether ``text`` holds a surrogate code point, which UTF-8 cannot encode.
 
     JSON escapes can spell one (``"\\ud800"``) and no output file can hold
@@ -239,11 +242,11 @@ def parse_publication(line: str) -> PublicationRecord:
     obj = _load_object(line)
     journal_id = obj.get("journal_id")
     if journal_id is not None and (
-        type(journal_id) is not str or not journal_id or _has_lone_surrogate(journal_id)
+        type(journal_id) is not str or not journal_id or has_lone_surrogate(journal_id)
     ):
         raise _str_error(obj, "journal_id")
     field = obj.get("field")
-    if field is not None and (type(field) is not str or not field or _has_lone_surrogate(field)):
+    if field is not None and (type(field) is not str or not field or has_lone_surrogate(field)):
         raise _str_error(obj, "field")
     year = obj.get("year")
     if year is not None and (type(year) is not int or not MIN_YEAR <= year <= _MAX_YEAR):
@@ -268,7 +271,7 @@ def parse_affiliation(line: str) -> AffiliationRecord:
     for item in raw:
         if type(item) is not str or not item:
             raise ParseError(f"institution id must be a nonempty string, got {item!r}")
-        if _has_lone_surrogate(item):
+        if has_lone_surrogate(item):
             raise ParseError(f"institution id holds a lone surrogate, got {item!r}")
     return AffiliationRecord(pub_id, frozenset(raw))
 
@@ -276,7 +279,7 @@ def parse_affiliation(line: str) -> AffiliationRecord:
 def parse_score(line: str) -> tuple[str, float]:
     """Parse one external score line into (id, finite value); raises
     ParseError on any defect."""
-    obj = _decode_line(line)
+    obj = decode_line(line)
     if not isinstance(obj, dict):
         raise ParseError("expected an object")
     entity_id = obj.get("id")
@@ -299,30 +302,30 @@ def parse_score(line: str) -> tuple[str, float]:
 # Serialization mirrors parsing so record -> line -> record is the identity.
 # Keys are written in schema order and absent optionals are omitted.
 
-_STATEMENT_KEYS = _json_keys(("citing_id", "cited_id", "citing_year", "class"))
-_REFERENCE_KEYS = _json_keys(ReferenceEvent._fields)
-_PUBLICATION_KEYS = _json_keys(PublicationRecord._fields)
-_AFFILIATION_KEYS = _json_keys(AffiliationRecord._fields)
+_STATEMENT_KEYS = json_keys(("citing_id", "cited_id", "citing_year", "class"))
+_REFERENCE_KEYS = json_keys(ReferenceEvent._fields)
+_PUBLICATION_KEYS = json_keys(PublicationRecord._fields)
+_AFFILIATION_KEYS = json_keys(AffiliationRecord._fields)
 
 
 def dump_statement(rec: StatementRecord) -> str:
-    return "{" + _json_members(_STATEMENT_KEYS, rec) + "}"
+    return "{" + json_members(_STATEMENT_KEYS, rec) + "}"
 
 
 def dump_reference(rec: ReferenceEvent) -> str:
-    return "{" + _json_members(_REFERENCE_KEYS, rec) + "}"
+    return "{" + json_members(_REFERENCE_KEYS, rec) + "}"
 
 
 def dump_publication(rec: PublicationRecord) -> str:
     present = [(key, value) for key, value in zip(_PUBLICATION_KEYS, rec) if value is not None]
-    return "{" + _json_members(*zip(*present)) + "}"
+    return "{" + json_members(*zip(*present)) + "}"
 
 
 def dump_affiliation(rec: AffiliationRecord) -> str:
     # the id array, the one value that is not a scalar, is quoted id by id
     ids = ",".join(map(_quote, sorted(rec.institution_ids)))
     pub_id_key, ids_key = _AFFILIATION_KEYS
-    return "{" + _json_members((pub_id_key,), (rec.pub_id,)) + "," + ids_key + "[" + ids + "]}"
+    return "{" + json_members((pub_id_key,), (rec.pub_id,)) + "," + ids_key + "[" + ids + "]}"
 
 
 # -- the canonical layout, read without the JSON decoder ---------------------
@@ -335,19 +338,19 @@ def dump_affiliation(rec: AffiliationRecord) -> str:
 # digits; one out of range gives None.  The patterns are built from the
 # key tables the writers use.  Every pattern's second branch matches any
 # other line with all groups empty, so findall gives one match per line
-# (plus an empty one after a final LF), and each reader turns the lines its
+# (plus an empty one after a final LF), and each scan turns the lines its
 # parser must see into None.  re compiles a pattern on its first findall,
 # so a run that reads only stores and scores pays for none.
 
 _CHARS = r'[^"\\\x00-\x1f]+'
-_STRING = f'"({_CHARS})"'
+LAYOUT_STRING = f'"({_CHARS})"'
 _YEAR = "([0-9]{4})"
 _STANCE = '"(' + "|".join(map(re.escape, STANCE_CLASSES)) + ')"'
 _IDS = rf'\[((?:"{_CHARS}"(?:,"{_CHARS}")*)?)\]'
 _new = tuple.__new__  # what NamedTuple._make calls, without the length check
 
 
-def _line_pattern(keys: tuple[str, ...], values: tuple[str, ...], optional: range = range(0)) -> str:
+def line_pattern(keys: tuple[str, ...], values: tuple[str, ...], optional: range = range(0)) -> str:
     """One line of ``keys`` with ``values``, all in order; the members at
     the ``optional`` indexes, never the first, may be absent."""
     members = [re.escape(key) + value for key, value in zip(keys, values, strict=True)]
@@ -358,10 +361,10 @@ def _line_pattern(keys: tuple[str, ...], values: tuple[str, ...], optional: rang
     return rf"(?m)^(?:\{{{layout}\}}\r?|.*)$"
 
 
-_STATEMENT_LINE = _line_pattern(_STATEMENT_KEYS, (_STRING, _STRING, _YEAR, _STANCE))
-_REFERENCE_LINE = _line_pattern(_REFERENCE_KEYS, (_STRING, _STRING, _YEAR))
-_PUBLICATION_LINE = _line_pattern(_PUBLICATION_KEYS, (_STRING, _STRING, _STRING, _YEAR), range(1, 4))
-_AFFILIATION_LINE = _line_pattern(_AFFILIATION_KEYS, (_STRING, _IDS))
+_STATEMENT_LINE = line_pattern(_STATEMENT_KEYS, (LAYOUT_STRING, LAYOUT_STRING, _YEAR, _STANCE))
+_REFERENCE_LINE = line_pattern(_REFERENCE_KEYS, (LAYOUT_STRING, LAYOUT_STRING, _YEAR))
+_PUBLICATION_LINE = line_pattern(_PUBLICATION_KEYS, (*[LAYOUT_STRING] * 3, _YEAR), range(1, 4))
+_AFFILIATION_LINE = line_pattern(_AFFILIATION_KEYS, (LAYOUT_STRING, _IDS))
 
 
 def _canonical_statements(text: str, count: int) -> list[StatementRecord | None]:
@@ -401,12 +404,10 @@ def _canonical_affiliations(text: str, count: int) -> list[AffiliationRecord | N
     ]
 
 
-_CANONICAL_READERS: dict[Callable, Callable[[str, int], list]] = {
-    parse_statement: _canonical_statements,
-    parse_reference: _canonical_references,
-    parse_publication: _canonical_publications,
-    parse_affiliation: _canonical_affiliations,
-}
+parse_statement.scan = _canonical_statements
+parse_reference.scan = _canonical_references
+parse_publication.scan = _canonical_publications
+parse_affiliation.scan = _canonical_affiliations
 _BLOCK_BYTES = 2048
 
 
@@ -442,34 +443,34 @@ def stream(
     is read as bytes, and a block that is not valid UTF-8 is decoded line
     by line, so one bad byte costs one line, not the run.
 
-    For the four input parsers, and for store rows (``aggregate``
-    registers its own reader in ``_CANONICAL_READERS``), the file is read in
-    blocks of about 2 KiB of whole lines, each matched against the canonical
-    layout in one regex scan, and only the lines outside it go to the
-    parser.  A block with no canonical line stops the scans, and the rest of
-    the file is read line by line, as every file is for the other parsers.
-    The records, messages and skips are the parser's own.
+    A parser's optional ``scan`` attribute, which the input parsers and
+    ``aggregate.store_line`` carry, reads a block: ``scan(text, count)``
+    gives one record per line, or None for a line only the parser may
+    read, and only those lines go to the parser.  A block with no record
+    stops the scans.  The records, messages and skips are the parser's.
 
     An unreadable path raises OSError from open(), untouched.
     """
     if mode not in ("strict", "lenient"):
         raise ConfigError(f"mode must be 'strict' or 'lenient', got {mode!r}")
-    read_canonical = _CANONICAL_READERS.get(parser)
+    scan = getattr(parser, "scan", None)
+    records = repeat(None)
     line_no = 0
     with open(path, "rb") as handle:
-        while read_canonical is not None and (block := handle.readlines(_BLOCK_BYTES)):
-            try:
-                text = b"".join(block).decode("utf-8")
-            except UnicodeDecodeError:
-                records = [None] * len(block)
-            else:
-                records = read_canonical(text, len(block))
-                if None not in records:
-                    yield from records
-                    line_no += len(block)
-                    continue
-                if records.count(None) == len(block):
-                    read_canonical = None
+        while block := handle.readlines(_BLOCK_BYTES):
+            if scan is not None:
+                try:
+                    text = b"".join(block).decode("utf-8")
+                except UnicodeDecodeError:
+                    records = repeat(None)
+                else:
+                    records = scan(text, len(block))
+                    if None not in records:
+                        yield from records
+                        line_no += len(block)
+                        continue
+                    if records.count(None) == len(block):
+                        scan, records = None, repeat(None)
             for line_no, (raw, record) in enumerate(zip(block, records), start=line_no + 1):
                 if record is None:
                     try:
@@ -478,11 +479,6 @@ def stream(
                         _bad_line(exc, path, line_no, mode, report)
                         continue
                 yield record
-        for line_no, raw in enumerate(handle, start=line_no + 1):
-            try:
-                yield parser(raw.decode("utf-8"))
-            except (ParseError, UnicodeDecodeError) as exc:
-                _bad_line(exc, path, line_no, mode, report)
 
 
 def _bad_line(

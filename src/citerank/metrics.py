@@ -23,6 +23,7 @@ correlation used to compare rankings against external scores.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from ._record import Checked, Record
@@ -89,6 +90,10 @@ class EntityTally(Record):
     @property
     def statement_total(self) -> int:
         return self.supporting + self.mentioning + self.contrasting
+
+
+COUNTERS = EntityTally._fields  # a store row's counter keys, in order
+tally_counts = attrgetter(*COUNTERS)
 
 
 def usi(supporting: int, contrasting: int) -> float | None:

@@ -14,10 +14,10 @@ from json.encoder import encode_basestring as _quote
 from typing import IO, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Checked, Record
-from .aggregate import Store, _tally_counts
+from .aggregate import Store
 from .errors import ConfigError
 from .linking import EntityKey
-from .metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, usi
+from .metrics import DEFAULT_SI_CONFIG, EntityTally, SiConfig, pearson, si, tally_counts, usi
 
 __all__ = [
     "METRICS",
@@ -387,7 +387,7 @@ def _rank_cells(rows: Sequence[RankedRow], text: Callable[[str], str], or_null: 
     return zip(
         map(text, kinds),
         map(text, ids),
-        *zip(*map(_tally_counts, tallies)),
+        *zip(*map(tally_counts, tallies)),
         map(or_null, usis, usis),
         map(or_null, sis, sis),
         map(shown, usis),
@@ -403,7 +403,7 @@ def _breakdown_cells(rows: Sequence[RankedRow], text: Callable[[str], str], or_n
     return zip(
         map(text, institutions),
         map(text, labels),
-        *zip(*map(_tally_counts, tallies)),
+        *zip(*map(tally_counts, tallies)),
         map(or_null, usis, usis),
         map(or_null, sis, sis),
     )
@@ -421,7 +421,7 @@ _RANK_TABLE = _Table(
     ),
     md_cells=lambda row, shown: (
         _md_escape(row.entity.id),
-        *(f"{count:,}" for count in _tally_counts(row.tally)[:3]),
+        *(f"{count:,}" for count in tally_counts(row.tally)[:3]),
         shown(row.usi_exact),
         shown(row.si_exact) or "n/a",
     ),
@@ -440,7 +440,7 @@ _BREAKDOWN_TABLE = _Table(
     md_cells=lambda row, shown: (
         _md_escape(row.entity.id),
         _md_escape(row.entity.field),
-        *(f"{count:,}" for count in _tally_counts(row.tally)),
+        *(f"{count:,}" for count in tally_counts(row.tally)),
         shown(row.usi_exact),
         shown(row.si_exact),
     ),

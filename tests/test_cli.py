@@ -947,8 +947,9 @@ class TestStartup:
 
 
 class TestStdoutEncoding:
-    """Stdout holds the UTF-8 bytes ``--out`` holds, whatever encoding
-    PYTHONIOENCODING (or the locale) gives the interpreter's stdout."""
+    """Stdout holds the UTF-8 bytes ``--out`` holds, and every stderr log
+    line is JSON, whatever encoding PYTHONIOENCODING (or the locale) gives
+    the interpreter's streams."""
 
     PUBS = [
         '{"id": "W1", "journal_id": "Jé", "field": "Física"}',
@@ -1017,6 +1018,48 @@ class TestStdoutEncoding:
             assert main(validate) == 0
         assert "dätä" in in_process.getvalue()
         assert run.stdout == in_process.getvalue().encode("utf-8")
+
+    def _inputs(self, data, bad=()):
+        """The aggregate arguments that read the four input files, written
+        with ``bad`` lines after the good ones into the directory ``data``."""
+        os.mkdir(data)
+        args = ["aggregate", "--entity", "journal", "--mode", "lenient"]
+        for name, lines in (
+            ("statements", self.STATEMENTS),
+            ("references", self.REFERENCES),
+            ("pubs", self.PUBS),
+            ("affiliations", self.AFFILS),
+        ):
+            path = os.path.join(data, os.fsencode(f"{name}.jsonl"))
+            with open(path, "wb") as handle:
+                handle.write("".join(line + "\n" for line in [*lines, *bad]).encode())
+            args += [f"--{name}", os.fsdecode(path)]
+        return args
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_stderr_lines_are_json(self, tmp_path, encoding):
+        args = self._inputs(os.fsencode(tmp_path / "enc_é"), bad=["not json"])
+        run = run_child(["-m", "citerank.cli", *args], tmp_path, PYTHONIOENCODING=encoding)
+        assert run.returncode == 0, run.stderr
+        in_process = io.StringIO()
+        with redirect_stderr(in_process), redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        logged = [json.loads(line) for line in run.stderr.decode("utf-8").splitlines()]
+        assert logged == [json.loads(line) for line in in_process.getvalue().splitlines()]
+        skipped = {row["file"]: row["skipped"] for row in logged if row["event"] == "ingest"}
+        assert skipped == dict.fromkeys(args[6::2], 1)
+
+    def test_path_not_utf8(self, tmp_path):
+        # a path byte that is not UTF-8 reaches the log and validate's
+        # records as a \udcXX escape, from which os.fsencode gives it back
+        args = self._inputs(os.fsencode(tmp_path) + b"/bad_\xff")
+        paths = sorted(map(os.fsencode, args[6::2]))
+        for command, log in ((args, "stderr"), (["validate", *args[5:]], "stdout")):
+            run = run_child(["-m", "citerank.cli", *command], tmp_path)
+            assert run.returncode == 0, run.stderr
+            assert b"Traceback" not in run.stderr
+            rows = [json.loads(line) for line in getattr(run, log).decode("utf-8").splitlines()]
+            assert sorted(os.fsencode(row["file"]) for row in rows if "file" in row) == paths
 
 
 # every option whose converter can reject a value, under each command using it

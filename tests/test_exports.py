@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -76,3 +77,19 @@ def test_import_does_not_load_the_cli():
         timeout=60,
     )
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+def test_no_module_imports_another_modules_private_name():
+    # what one module needs of another has a public name, inside __all__
+    # or not, so a ``_`` name is only ever used where it is defined
+    package = Path(citerank.__file__).resolve().parent
+    private = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "citerank")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citerank import ingest
+from citerank import aggregate, ingest
+from citerank.aggregate import Diagnostics, Store, dump_store, load_store, store_line
 from citerank.errors import ConfigError, ParseError
 from citerank.ingest import (
     MIN_YEAR,
@@ -27,6 +28,8 @@ from citerank.ingest import (
     parse_statement,
     stream,
 )
+from citerank.linking import EntityKey
+from citerank.metrics import EntityTally
 
 ids = st.text(min_size=1, max_size=30)
 years = st.integers(MIN_YEAR, _MAX_YEAR)
@@ -670,8 +673,8 @@ class TestCanonicalReadGuards:
             calls.append(line)
             return decode(line)
 
-        decode = ingest._decode_line
-        monkeypatch.setattr(ingest, "_decode_line", decode_line)
+        decode = ingest.decode_line
+        monkeypatch.setattr(ingest, "decode_line", decode_line)
         assert list(stream(str(path), parser)) == [record] * 1_000
         assert len(calls) == others
 
@@ -686,7 +689,54 @@ class TestCanonicalReadGuards:
             scans.append(count)
             return scan(text, count)
 
-        scan = ingest._CANONICAL_READERS[parser]
-        monkeypatch.setitem(ingest._CANONICAL_READERS, parser, read_canonical)
+        scan = parser.scan
+        monkeypatch.setattr(parser, "scan", read_canonical)
         assert list(stream(str(path), parser)) == [record] * 1_000
+        assert len(scans) == 1
+
+    # ``stream`` yields a store's rows as (key, tally) pairs and its other
+    # lines as text, so the store reader is checked through ``load_store``,
+    # which decodes those lines
+
+    @staticmethod
+    def _store():
+        tallies = {
+            EntityKey("institution", f"I{n}", "Maths"): EntityTally(n, 1, 2, n + 3)
+            for n in range(1_000)
+        }
+        return Store(tallies, Diagnostics(statements_seen=7))
+
+    @pytest.mark.parametrize("others", [0, 1, 7])
+    def test_store_decoder_sees_only_other_lines(self, tmp_path, monkeypatch, others):
+        store = self._store()
+        lines = dump_store(store).splitlines()
+        for n in range(others):
+            lines[n * 131] = json.dumps(json.loads(lines[n * 131]))
+        path = tmp_path / "store.jsonl"
+        _write_lines(path, lines)
+        calls = []
+
+        def decode_line(line):
+            calls.append(line)
+            return decode(line)
+
+        decode = aggregate.decode_line
+        monkeypatch.setattr(aggregate, "decode_line", decode_line)
+        assert load_store(stream(str(path), store_line), str(path)) == store
+        # the spaced rows, and the diagnostics row, which no row scan reads
+        assert calls == [lines[n * 131] + "\n" for n in range(others)] + [lines[-1] + "\n"]
+
+    def test_store_other_layout_is_scanned_once(self, tmp_path, monkeypatch):
+        store = self._store()
+        path = tmp_path / "spaced.jsonl"
+        _write_lines(path, [json.dumps(json.loads(line)) for line in dump_store(store).splitlines()])
+        scans = []
+
+        def read_canonical(text, count):
+            scans.append(count)
+            return scan(text, count)
+
+        scan = store_line.scan
+        monkeypatch.setattr(store_line, "scan", read_canonical)
+        assert load_store(stream(str(path), store_line), str(path)) == store
         assert len(scans) == 1
